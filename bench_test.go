@@ -156,7 +156,9 @@ func BenchmarkBuffOptMinBuffers(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuffOptMinBuffers(tr, lib, p, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +170,9 @@ func BenchmarkBuffOpt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BuffOpt(tr, lib, p, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Params: p, Objective: core.MaxSlackNoise,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +184,9 @@ func BenchmarkDelayOpt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DelayOpt(tr, lib, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), core.Problem{
+			Tree: tr, Library: lib, Objective: core.MaxSlack,
+		}, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,10 +195,12 @@ func BenchmarkDelayOpt(b *testing.B) {
 // BenchmarkDelayOptK4 is DelayOpt(4), the Table III workhorse.
 func BenchmarkDelayOptK4(b *testing.B) {
 	tr, lib, _ := benchNet(b)
+	k := 4
+	p := core.Problem{Tree: tr, Library: lib, Objective: core.MaxSlack, MaxBuffers: &k}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DelayOptK(tr, lib, 4, core.Options{}); err != nil {
+		if _, err := core.Optimize(context.Background(), p, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,63 +220,30 @@ func BenchmarkSolveUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveCached measures a cache hit: the canonical hash of the
-// problem plus one deep copy of the stored result, no DP at all.
+// BenchmarkSolveCached measures a cache hit the way bufferd takes one:
+// the canonical hash of the problem plus one deep copy of the stored
+// result, no DP at all.
 func BenchmarkSolveCached(b *testing.B) {
 	tr, lib, p := benchNet(b)
 	c := core.NewSolveCache(64, 0, "bench")
-	if _, err := core.Solve(context.Background(), tr, lib, p, core.Options{Cache: c}); err != nil {
+	solve := func() (*core.SolveResult, bool, error) {
+		r, err := core.Solve(context.Background(), tr, lib, p, core.Options{})
+		return r, core.Cacheable(r), err
+	}
+	prob := core.Problem{Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise}
+	if _, _, err := c.Do(context.Background(), core.SolveCacheKey(prob, core.Options{}), solve); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(context.Background(), tr, lib, p, core.Options{Cache: c})
+		_, out, err := c.Do(context.Background(), core.SolveCacheKey(prob, core.Options{}), solve)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Cached {
+		if !out.Hit {
 			b.Fatal("prewarmed solve missed the cache")
 		}
-	}
-}
-
-// BenchmarkBuffOptWorkers sweeps the DP's worker-pool width on one large
-// net: workers-1 is the serial walk, the others force the branch-merge
-// pool (bit-identical answers; see the differential suite). On multicore
-// hosts the wide rows show the speedup; on one CPU they price the
-// scheduling overhead.
-func BenchmarkBuffOptWorkers(b *testing.B) {
-	tr, lib, p := benchNet(b)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(tr, lib, p, core.Options{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTableIIWorkers prices the whole Table II pipeline at each
-// worker width — the end-to-end number the batching speedup note in
-// EXPERIMENTS.md quotes.
-func BenchmarkTableIIWorkers(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := benchSuite(b)
-				s.Config.DPWorkers = w
-				b.StartTimer()
-				if t := s.RunTableII(); t.MetricAfter != 0 {
-					b.Fatalf("violations remain: %+v", t)
-				}
-			}
-		})
 	}
 }
 
@@ -316,7 +291,9 @@ func BenchmarkLibrarySweep(b *testing.B) {
 			b.Run(fmt.Sprintf("types-%d/%s", n, engine), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := core.DelayOpt(tr, lib, core.Options{Engine: engine}); err != nil {
+					if _, err := core.Optimize(context.Background(), core.Problem{
+						Tree: tr, Library: lib, Objective: core.MaxSlack,
+					}, core.Options{Engine: engine}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -481,7 +458,9 @@ func BenchmarkAblationPruning(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOpt(tr, lib, p, core.Options{SafePruning: mode.safe}); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: tr, Library: lib, Params: p, Objective: core.MaxSlackNoise,
+				}, core.Options{SafePruning: mode.safe}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -503,7 +482,9 @@ func BenchmarkAblationSizing(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(tr, lib, p, mode.opts); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise,
+				}, mode.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -586,7 +567,9 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 		b.Run(seglen.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.BuffOptMinBuffers(seg, s.Library, s.Tech.Noise, core.Options{}); err != nil {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: seg, Library: s.Library, Params: s.Tech.Noise, Objective: core.MinBuffersNoise,
+				}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -130,6 +130,18 @@ func (cfg config) budget(ctx context.Context) *guard.Budget {
 	return b
 }
 
+// dpAlgs maps the -alg values that run one dynamic-program objective;
+// bounded ones take -k as the buffer bound.
+var dpAlgs = map[string]struct {
+	objective core.Objective
+	bounded   bool
+}{
+	"buffopt":   {core.MaxSlackNoise, false},
+	"minbuf":    {core.MinBuffersNoise, false},
+	"delayopt":  {core.MaxSlack, false},
+	"delayoptk": {core.MaxSlack, true},
+}
+
 func run(ctx context.Context, cfg config) error {
 	f, err := os.Open(cfg.netPath)
 	if err != nil {
@@ -191,30 +203,6 @@ func run(ctx context.Context, cfg config) error {
 			fmt.Printf("solved at tier %s\n", r.Tier)
 		}
 		sol, slack, haveSlack = r.Solution, r.Slack, true
-	case "buffopt":
-		r, err := core.BuffOpt(work, lib, params, opts)
-		if err != nil {
-			return err
-		}
-		sol, slack, haveSlack = r.Solution, r.Slack, true
-	case "minbuf":
-		r, err := core.BuffOptMinBuffers(work, lib, params, opts)
-		if err != nil {
-			return err
-		}
-		sol, slack, haveSlack = r.Solution, r.Slack, true
-	case "delayopt":
-		r, err := core.DelayOpt(work, lib, opts)
-		if err != nil {
-			return err
-		}
-		sol, slack, haveSlack = r.Solution, r.Slack, true
-	case "delayoptk":
-		r, err := core.DelayOptK(work, lib, k, opts)
-		if err != nil {
-			return err
-		}
-		sol, slack, haveSlack = r.Solution, r.Slack, true
 	case "alg1":
 		sol, err = core.Algorithm1Budget(tr, lib, params, opts.Budget)
 		if err != nil {
@@ -228,7 +216,19 @@ func run(ctx context.Context, cfg config) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("unknown algorithm %q", alg)
+		dp, ok := dpAlgs[alg]
+		if !ok {
+			return fmt.Errorf("unknown algorithm %q", alg)
+		}
+		prob := core.Problem{Tree: work, Library: lib, Params: params, Objective: dp.objective}
+		if dp.bounded {
+			prob.MaxBuffers = &k
+		}
+		r, err := core.Optimize(ctx, prob, opts)
+		if err != nil {
+			return err
+		}
+		sol, slack, haveSlack = r.Solution, r.Slack, true
 	}
 
 	after := noise.Analyze(sol.Tree, sol.Buffers, params)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
-	"buffopt/internal/noise"
 	"buffopt/internal/rctree"
 )
 
@@ -28,30 +26,25 @@ type Options struct {
 	// guard.ErrBudgetExceeded; the input tree is never modified either
 	// way.
 	Budget *guard.Budget
-	// Workers bounds the goroutines the bottom-up dynamic program may use
-	// to solve independent subtrees concurrently at branch-merge points.
-	// 0 (the default) picks GOMAXPROCS automatically, staying serial on
-	// trees too small to amortize the scheduling; 1 forces the serial
-	// walk; N > 1 forces an N-worker pool even on small trees (the
-	// differential test suite exercises the parallel path this way).
-	// Results are bit-identical across all settings — the parallel
-	// schedule changes when nodes are computed, never what they compute.
-	Workers int
-	// Cache, when non-nil, memoizes whole-net Solve results by canonical
-	// problem hash: repeated identical requests return a deep copy of the
-	// first answer, and concurrent identical requests coalesce onto one
-	// ladder run. Only Solve consults it (the cache key covers Solve's
-	// degradation behavior); the single-engine entry points ignore it.
-	// Excluded from the cache key itself, like Workers.
-	Cache *SolveCache
 	// Engine selects the dynamic-program organization: EngineAuto (the
 	// default, also chosen by ""), EngineVG, or EngineLiShi. Engines
 	// are bit-identical on objective values by construction — the
 	// enginetest suite is the gate — so Engine is excluded from every
-	// cache key, like Workers: a cached result answers a request from any
-	// engine. Unknown names are rejected with guard.ErrInvalidInput by
-	// Optimize and Solve.
+	// cache key: a cached result answers a request from any engine.
+	// Unknown names are rejected with guard.ErrInvalidInput by Optimize
+	// and Solve.
 	Engine string
+
+	// workers bounds the goroutines the bottom-up dynamic program may use
+	// to solve independent subtrees concurrently at branch-merge points.
+	// 0 (what every production caller passes) picks GOMAXPROCS
+	// automatically, staying serial on trees too small to amortize the
+	// scheduling; 1 forces the serial walk; N > 1 forces an N-worker pool
+	// even on small trees. Unexported: only the engine registry and this
+	// package's tests force a width, to pin serial/parallel bit identity
+	// — the parallel schedule changes when nodes are computed, never what
+	// they compute, so it is excluded from every cache key.
+	workers int
 
 	// memo, when non-nil, threads a session's subtree memo table into the
 	// dynamic program (see Delta). Unexported: only the session layer may
@@ -98,7 +91,7 @@ func (s *Sizing) Validate() error {
 // engine name is assumed validated (Optimize and Solve call ParseEngine
 // first); an unvalidated empty string still resolves to the auto default.
 func (o Options) vgo() vgOptions {
-	v := vgOptions{safePruning: o.SafePruning, budget: o.Budget, workers: o.Workers, engine: o.Engine, memo: o.memo}
+	v := vgOptions{safePruning: o.SafePruning, budget: o.Budget, workers: o.workers, engine: o.Engine, memo: o.memo}
 	if v.engine == "" {
 		v.engine = EngineAuto
 	}
@@ -131,199 +124,107 @@ type Result struct {
 	Cost int
 }
 
-// BuffOpt solves Problem 2: maximize the slack at the source subject to
-// every noise constraint (Algorithm 3, Section IV; optimal for a single
-// buffer type per Theorem 5). It returns ErrNoiseUnfixable (wrapped) when
-// no buffer assignment satisfies the noise constraints.
-//
-// Equivalent to Optimize with Objective MaxSlackNoise.
-//
-// Deprecated: use Optimize with Objective MaxSlackNoise (or a Session for
-// incremental re-solves). Kept for source compatibility; the equivalence
-// is pinned by tests and will not drift.
-func BuffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise}, opts)
-}
-
-func buffOpt(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
+// optimize is the one dynamic-program driver behind Optimize, Delta, and
+// Solve's DP tiers: the objective sets the noise constraints (MaxSlack is
+// the Section V DelayOpt baseline, the other two are Algorithm 3), and
+// Problem.MaxBuffers turns on the Lillis count-indexed lists capped at k
+// — DelayOpt(k) and BuffOpt(k). MinBuffersNoise deepens the cap itself
+// (see minBuffers). The caller has validated p and opts.
+func optimize(p Problem, opts Options) (*Result, error) {
 	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
-	cands, err := runVG(t, lib, vo)
+	if p.Objective != MaxSlack {
+		vo.noise = true
+		vo.params = p.Params
+	}
+	if p.Objective == MinBuffersNoise {
+		return minBuffers(p, vo)
+	}
+	k := math.MaxInt
+	if p.MaxBuffers != nil {
+		k = *p.MaxBuffers
+		vo.countIndexed = true
+		vo.maxBuffers = k
+	}
+	cands, err := runVG(p.Tree, p.Library, vo)
 	if err != nil {
 		return nil, err
 	}
-	best, ok := maxSlack(cands, math.MaxInt)
+	best, ok := maxSlack(cands, k)
 	if !ok {
-		return nil, fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
+		return nil, noSolution(p)
 	}
-	return finishVG(t, best, vo)
+	return finishVG(p.Tree, best, vo)
 }
 
-// BuffOptMinBuffers solves Problem 3: insert the minimum total buffer
-// weight (the Lillis power function — the buffer count when all weights
-// are 1, or area/power with explicit Buffer.Weight values) such that both
-// the noise constraints and the timing constraints (slack ≥ 0) hold,
-// maximizing slack as a secondary objective. This is the configuration of
-// the BuffOpt tool used in the Section V experiments, built on the Lillis
-// buffer-count-indexed candidate lists.
+// minBuffers solves Problem 3, the configuration of the BuffOpt tool in
+// the Section V experiments: the minimum total buffer weight (the Lillis
+// power function — the buffer count when all weights are 1, or
+// area/power with explicit Buffer.Weight values) such that
+// both the noise constraints and slack ≥ 0 hold, maximizing slack as a
+// secondary objective.
 //
 // Buffer counts are explored by iterative deepening (caps 2, 4, 8, …): a
 // feasible solution found under cap m is count-minimal outright, because
 // every smaller count was also explored, and most nets resolve at the
 // first cap. This keeps BuffOpt's candidate lists shorter than
-// DelayOpt(k)'s — the run-time effect Section V reports (noise pruning
-// plus small caps mean fewer candidates to analyze).
+// DelayOpt(k)'s — the run-time effect Section V reports.
 //
 // When no buffer count achieves non-negative slack, the noise-feasible
-// solution with maximum slack is returned (best effort): noise constraints
-// are hard, timing is maximized.
-//
-// Equivalent to Optimize with Objective MinBuffersNoise.
-//
-// Deprecated: use Optimize with Objective MinBuffersNoise (or a Session
-// for incremental re-solves). Kept for source compatibility; the
-// equivalence is pinned by tests and will not drift.
-func BuffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
-}
-
-func buffOptMinBuffers(t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*Result, error) {
+// solution with maximum slack is returned (best effort): noise
+// constraints are hard, timing is maximized.
+func minBuffers(p Problem, vo vgOptions) (*Result, error) {
 	const hardCap = 64
-	var lastErr error
 	var fallback *vgCand
-	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
 	vo.countIndexed = true
 	for limit := 2; limit <= hardCap; limit *= 2 {
 		vo.maxBuffers = limit
-		cands, err := runVG(t, lib, vo)
+		cands, err := runVG(p.Tree, p.Library, vo)
 		if err != nil {
 			return nil, err
 		}
 		if len(cands) == 0 {
-			lastErr = fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
-			continue
+			continue // noise-infeasible under this cap
 		}
-		// cands is sorted by ascending cost; the first candidate with
-		// non-negative slack is the cost-minimal feasible solution.
-		bestPerCount := map[int]vgCand{}
+		// cands is sorted by ascending cost, then descending slack: the
+		// first candidate with non-negative slack is the cost-minimal
+		// feasible solution, with the best slack at that cost.
 		for _, c := range cands {
-			if cur, ok := bestPerCount[c.cost]; !ok || c.q > cur.q {
-				bestPerCount[c.cost] = c
-			}
-		}
-		for k := 0; k <= maxKey(bestPerCount); k++ {
-			if c, ok := bestPerCount[k]; ok && c.q >= 0 {
-				return finishVG(t, c, vo)
+			if c.q >= 0 {
+				return finishVG(p.Tree, c, vo)
 			}
 		}
 		// Noise is satisfiable but timing is not (yet): remember the best
 		// slack and allow more buffers in case they close the gap; stop
 		// once extra headroom no longer improves anything.
-		if c, ok := maxSlack(cands, math.MaxInt); ok {
-			if fallback != nil && c.q <= fallback.q {
-				lastErr = nil
-				break
-			}
-			cc := c
-			fallback = &cc
+		c, _ := maxSlack(cands, math.MaxInt)
+		if fallback != nil && c.q <= fallback.q {
+			break
 		}
-		lastErr = nil
+		fallback = &c
 	}
 	if fallback != nil {
-		return finishVG(t, *fallback, vo)
+		return finishVG(p.Tree, *fallback, vo)
 	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, fmt.Errorf("core: BuffOpt found no noise-feasible solution: %w", ErrNoiseUnfixable)
+	return nil, noSolution(p)
 }
 
-// DelayOpt is the Section V baseline: Van Ginneken's algorithm with the
-// Lillis extensions but no noise constraints — Algorithm 3 without the
-// boldface modifications. It maximizes the slack at the source.
-//
-// Equivalent to Optimize with Objective MaxSlack.
-//
-// Deprecated: use Optimize with Objective MaxSlack (or a Session for
-// incremental re-solves). Kept for source compatibility; the equivalence
-// is pinned by tests and will not drift.
-func DelayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Objective: MaxSlack}, opts)
-}
-
-func delayOpt(t *rctree.Tree, lib *buffers.Library, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
+// noSolution is the error for an empty final candidate list, named after
+// the paper's tool for the objective. Noise-aware objectives wrap
+// ErrNoiseUnfixable; a delay-only list can only come up empty through the
+// k bound or the source polarity filter, so its error carries no
+// sentinel.
+func noSolution(p Problem) error {
+	tool := "BuffOpt"
+	if p.Objective == MaxSlack {
+		tool = "DelayOpt"
 	}
-	best, ok := maxSlack(cands, math.MaxInt)
-	if !ok {
-		return nil, fmt.Errorf("core: DelayOpt produced no candidates")
+	if p.MaxBuffers != nil {
+		tool = fmt.Sprintf("%s(%d)", tool, *p.MaxBuffers)
 	}
-	return finishVG(t, best, vo)
-}
-
-// DelayOptK is DelayOpt(k) of Section V: the best slack achievable with at
-// most k buffers, via buffer-count-indexed candidate lists.
-//
-// Equivalent to Optimize with Objective MaxSlack and MaxBuffers k.
-//
-// Deprecated: use Optimize with Objective MaxSlack and MaxBuffers (or a
-// Session for incremental re-solves). Kept for source compatibility; the
-// equivalence is pinned by tests and will not drift.
-func DelayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Objective: MaxSlack, MaxBuffers: &k}, opts)
-}
-
-// delayOptK assumes k ≥ 0 (Problem.Validate rejected negatives).
-func delayOptK(t *rctree.Tree, lib *buffers.Library, k int, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	vo.countIndexed = true
-	vo.maxBuffers = k
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
+	if p.Objective == MaxSlack {
+		return fmt.Errorf("core: %s produced no candidates", tool)
 	}
-	best, ok := maxSlack(cands, k)
-	if !ok {
-		return nil, fmt.Errorf("core: DelayOpt(%d) produced no candidates", k)
-	}
-	return finishVG(t, best, vo)
-}
-
-// BuffOptK returns the noise-feasible solution with the best slack using
-// at most k buffers. Used by ablation studies; the Section V tool is
-// BuffOptMinBuffers.
-//
-// Equivalent to Optimize with Objective MaxSlackNoise and MaxBuffers k.
-//
-// Deprecated: use Optimize with Objective MaxSlackNoise and MaxBuffers
-// (or a Session for incremental re-solves). Kept for source
-// compatibility; the equivalence is pinned by tests and will not drift.
-func BuffOptK(t *rctree.Tree, lib *buffers.Library, p noise.Params, k int, opts Options) (*Result, error) {
-	return Optimize(opts.Budget.Context(), Problem{Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}, opts)
-}
-
-// buffOptK assumes k ≥ 0 (Problem.Validate rejected negatives).
-func buffOptK(t *rctree.Tree, lib *buffers.Library, p noise.Params, k int, opts Options) (*Result, error) {
-	vo := opts.vgo()
-	vo.noise = true
-	vo.params = p
-	vo.countIndexed = true
-	vo.maxBuffers = k
-	cands, err := runVG(t, lib, vo)
-	if err != nil {
-		return nil, err
-	}
-	best, ok := maxSlack(cands, k)
-	if !ok {
-		return nil, fmt.Errorf("core: BuffOpt(%d) found no noise-feasible solution: %w", k, ErrNoiseUnfixable)
-	}
-	return finishVG(t, best, vo)
+	return fmt.Errorf("core: %s found no noise-feasible solution: %w", tool, ErrNoiseUnfixable)
 }
 
 // maxSlack picks the candidate with the largest slack among those of
@@ -343,16 +244,6 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 	return best, found
 }
 
-func maxKey(m map[int]vgCand) int {
-	max := 0
-	for k := range m {
-		if k > max {
-			max = k
-		}
-	}
-	return max
-}
-
 // finishVG materializes a chosen candidate into a Result with a private
 // tree copy, applying any chosen wire widths to the copy's parasitics so
 // the standard analyzers see exactly what the dynamic program computed.
@@ -362,7 +253,6 @@ func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
 	for v, wd := range widths {
 		node := work.Node(v)
 		w := node.Wire
-		oldC := w.C
 		w.R, w.C = vo.wireVariant(w, wd)
 		if vo.noise && vo.params.Slope > 0 && w.C > 0 {
 			// Freeze the coupling current at its minimum-width (sidewall)
@@ -373,7 +263,6 @@ func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
 				Ratio: iw / (vo.params.Slope * w.C),
 				Slope: vo.params.Slope,
 			}}
-			_ = oldC
 		}
 		node.Wire = w
 	}

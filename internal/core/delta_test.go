@@ -110,9 +110,9 @@ func deltaProfiles() []struct {
 	for _, eng := range []string{EngineVG, EngineLiShi} {
 		for _, workers := range []int{1, 4} {
 			out = append(out,
-				prof{fmt.Sprintf("max-slack/%s/w%d", eng, workers), MaxSlack, Options{Engine: eng, Workers: workers}},
-				prof{fmt.Sprintf("max-slack-noise/%s/w%d", eng, workers), MaxSlackNoise, Options{Engine: eng, Workers: workers}},
-				prof{fmt.Sprintf("min-buffers-noise/%s/w%d", eng, workers), MinBuffersNoise, Options{Engine: eng, Workers: workers}},
+				prof{fmt.Sprintf("max-slack/%s/w%d", eng, workers), MaxSlack, Options{Engine: eng, workers: workers}},
+				prof{fmt.Sprintf("max-slack-noise/%s/w%d", eng, workers), MaxSlackNoise, Options{Engine: eng, workers: workers}},
+				prof{fmt.Sprintf("min-buffers-noise/%s/w%d", eng, workers), MinBuffersNoise, Options{Engine: eng, workers: workers}},
 			)
 		}
 	}

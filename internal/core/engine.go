@@ -80,7 +80,7 @@ func EngineTable() []EngineSpec {
 	viaOptimize := func(engine string, workers int) func(context.Context, Problem, Options) (*Result, error) {
 		return func(ctx context.Context, p Problem, opts Options) (*Result, error) {
 			opts.Engine = engine
-			opts.Workers = workers
+			opts.workers = workers
 			return Optimize(ctx, p, opts)
 		}
 	}

@@ -54,7 +54,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			prob.MaxBuffers = &k
 		}
 		run := func(engine string) (*core.Result, error) {
-			return core.Optimize(context.Background(), prob, core.Options{Engine: engine, Workers: 1})
+			return core.Optimize(context.Background(), prob, core.Options{Engine: engine})
 		}
 		vg, vgErr := run(core.EngineVG)
 		ls, lsErr := run(core.EngineLiShi)

@@ -64,10 +64,11 @@ func ParseObjective(s string) (Objective, error) {
 }
 
 // Problem is one complete optimization request: everything that
-// determines the answer, and nothing that doesn't. It subsumes the five
-// historical entry points (BuffOpt, BuffOptK, DelayOpt, DelayOptK,
-// BuffOptMinBuffers), which are now thin wrappers over Optimize, and its
-// CanonicalHash is the content-addressed cache key.
+// determines the answer, and nothing that doesn't. The objective plus the
+// optional count bound name the paper's tools — DelayOpt, DelayOpt(k),
+// BuffOpt, BuffOpt(k), and the Section V BuffOpt configuration
+// (MinBuffersNoise) — and its CanonicalHash is the content-addressed
+// cache key.
 type Problem struct {
 	// Tree is the routing tree to buffer. Optimize never modifies it.
 	Tree *rctree.Tree
@@ -87,8 +88,7 @@ type Problem struct {
 // Validate checks the request's structure. All errors wrap
 // guard.ErrInvalidInput, so servers map them to 400, not 500. Electrical
 // validation (tree parasitics, noise params) stays at the Solve/netfmt
-// boundary; here only the shape of the request is checked, preserving the
-// historical entry points' behavior exactly.
+// boundary; here only the shape of the request is checked.
 func (p Problem) Validate() error {
 	if p.Tree == nil {
 		return fmt.Errorf("core: Problem.Tree is nil: %w", guard.ErrInvalidInput)
@@ -114,16 +114,13 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Optimize solves one Problem. It is the single front door the historical
-// entry points now share: the objective plus the optional count bound
-// select the engine configuration, and the result is bit-identical to the
-// corresponding legacy call.
+// Optimize solves one Problem: the objective plus the optional count
+// bound select the dynamic-program configuration (see Objective).
 //
 // ctx carries cancellation. When opts.Budget is nil (or bound to a
 // different context), a budget wired to ctx is installed so cancellation
-// reaches the inner loops; when opts.Budget already carries ctx — as in
-// every legacy wrapper call — it is used as-is, preserving the caller's
-// usage high-water marks.
+// reaches the inner loops; when opts.Budget already carries ctx it is
+// used as-is, preserving the caller's usage high-water marks.
 //
 // Validation failures wrap guard.ErrInvalidInput. For graceful
 // degradation under deadline pressure, use Solve, which runs the
@@ -139,36 +136,22 @@ func Optimize(ctx context.Context, p Problem, opts Options) (*Result, error) {
 	}
 	opts.Engine = engine
 	// The budget is reconciled against the caller's original ctx (not the
-	// span's child context) so legacy wrappers keep their exact Budget
-	// object and its usage marks; the trace still reaches the inner loops
-	// because the budget's context carries the caller's span chain.
+	// span's child context) so a caller's budget bound to ctx keeps its
+	// exact object and usage marks; the trace still reaches the inner
+	// loops because the budget's context carries the caller's span chain.
 	opts.Budget = budgetFor(ctx, opts.Budget)
 	_, sp := obs.Span(ctx, "optimize")
 	sp.SetAttr("objective", p.Objective.String())
 	sp.SetAttr("engine", engine)
 	defer sp.End()
-	switch p.Objective {
-	case MaxSlack:
-		if p.MaxBuffers != nil {
-			return delayOptK(p.Tree, p.Library, *p.MaxBuffers, opts)
-		}
-		return delayOpt(p.Tree, p.Library, opts)
-	case MaxSlackNoise:
-		if p.MaxBuffers != nil {
-			return buffOptK(p.Tree, p.Library, p.Params, *p.MaxBuffers, opts)
-		}
-		return buffOpt(p.Tree, p.Library, p.Params, opts)
-	default: // MinBuffersNoise; Validate rejected everything else
-		return buffOptMinBuffers(p.Tree, p.Library, p.Params, opts)
-	}
+	return optimize(p, opts)
 }
 
 // budgetFor reconciles the caller's context with the caller's budget.
-// When the budget already carries ctx — including the nil-budget,
-// background-context pairing every legacy wrapper produces — it is
-// returned unchanged, so legacy call paths keep their exact Budget
-// object (and its usage marks). Otherwise a fresh budget bound to ctx is
-// built, copying the resource caps.
+// When the budget already carries ctx — including a nil budget under the
+// background context — it is returned unchanged, so the caller keeps its
+// exact Budget object (and its usage marks). Otherwise a fresh budget
+// bound to ctx is built, copying the resource caps.
 func budgetFor(ctx context.Context, b *guard.Budget) *guard.Budget {
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,9 +187,9 @@ const hashVersion = "buffopt.problem.v1"
 //
 // Excluded, deliberately: node names, IDs, and X/Y coordinates (reports
 // only — two nets differing only in labels are the same problem);
-// Options.Workers and all deadlines (results are bit-identical across
-// them); and Options' output-affecting knobs, which the cache layers on
-// top (see SolveCacheKey). Sibling order is preserved, not sorted: the
+// the DP's worker count and all deadlines (results are bit-identical
+// across them); and Options' output-affecting knobs, which the cache
+// layers on top (see SolveCacheKey). Sibling order is preserved, not sorted: the
 // branch-merge order can steer tie-breaking among equal-slack candidates,
 // so reordered children are a different problem even though renumbered
 // nodes are not.

@@ -21,8 +21,8 @@ import (
 // The session owns a private clone of the problem tree — callers can
 // never reach in and desynchronize the incremental subtree hashes from
 // the topology. The objective, library, and noise parameters are pinned
-// at creation; the per-call Options (engine, workers, budget, safe
-// pruning, sizing) may vary freely between Delta calls, because they are
+// at creation; the per-call Options (engine, budget, safe pruning,
+// sizing) may vary freely between Delta calls, because they are
 // part of the memo key where they matter.
 type Session struct {
 	mu     sync.Mutex
@@ -280,8 +280,7 @@ type DeltaResult struct {
 // the applied edits — the session stays consistent and a later Delta
 // with an empty edit list retries the solve.
 //
-// opts follows Optimize's contract; Options.Cache is ignored (the
-// session's memo is the cache here).
+// opts follows Optimize's contract.
 func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaResult, error) {
 	if s == nil {
 		return nil, invalid(errors.New("core: Delta on a nil session"))
@@ -322,24 +321,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 	sp.SetAttr("engine", engine)
 	defer sp.End()
 
-	p := s.p
-	var res *Result
-	switch p.Objective {
-	case MaxSlack:
-		if p.MaxBuffers != nil {
-			res, err = delayOptK(p.Tree, p.Library, *p.MaxBuffers, opts)
-		} else {
-			res, err = delayOpt(p.Tree, p.Library, opts)
-		}
-	case MaxSlackNoise:
-		if p.MaxBuffers != nil {
-			res, err = buffOptK(p.Tree, p.Library, p.Params, *p.MaxBuffers, opts)
-		} else {
-			res, err = buffOpt(p.Tree, p.Library, p.Params, opts)
-		}
-	default: // MinBuffersNoise; NewSession validated the objective
-		res, err = buffOptMinBuffers(p.Tree, p.Library, p.Params, opts)
-	}
+	res, err := optimize(s.p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,13 +21,14 @@ import (
 type Tier int
 
 const (
-	// TierExact is the paper's BuffOpt: minimum buffer weight subject to
-	// noise and timing, exact (Theorem 5 / Section IV-C caveats apply per
-	// Options.SafePruning).
+	// TierExact is the paper's BuffOpt (the MinBuffersNoise objective):
+	// minimum buffer weight subject to noise and timing, exact (Theorem 5
+	// / Section IV-C caveats apply per Options.SafePruning).
 	TierExact Tier = iota
-	// TierCappedDP is the count-capped dynamic program: BuffOpt(k) with a
-	// small fixed buffer bound, safe pruning off, and a tightened
-	// candidate-list cap. Still noise-aware, no longer weight-minimal.
+	// TierCappedDP is the count-capped dynamic program: BuffOpt(k) (the
+	// MaxSlackNoise objective) with a small fixed buffer bound, safe
+	// pruning off, and a tightened candidate-list cap. Still noise-aware,
+	// no longer weight-minimal.
 	TierCappedDP
 	// TierGreedy is the iterative one-buffer-at-a-time heuristic in noise
 	// mode. Polynomial per round; no optimality guarantee.
@@ -123,11 +124,11 @@ type SolveResult struct {
 	// including elapsed time and budget usage. Empty when Tier ==
 	// TierExact.
 	TierErrors []*TierError
-	// Cached reports that this result was served from Options.Cache
-	// without running the ladder. Cached results are bit-identical to
-	// what a fresh solve would have produced (the solver is
-	// deterministic); the flag exists for telemetry and API responses,
-	// not correctness.
+	// Cached reports that this result was served from a SolveCache
+	// without running the ladder (set by the caching layer, e.g. bufferd).
+	// Cached results are bit-identical to what a fresh solve would have
+	// produced (the solver is deterministic); the flag exists for
+	// telemetry and API responses, not correctness.
 	Cached bool
 	// Coalesced reports that this request missed the cache but shared a
 	// concurrent identical request's solve instead of running its own.
@@ -177,11 +178,13 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 	}
 	// Validate once, up front: degrading cannot repair bad input, and the
 	// ladder should not burn deadline discovering the same error five
-	// times.
-	if err := t.Validate(); err != nil {
-		return nil, invalid(err)
+	// times. The problem's shape (nil tree or library included) is
+	// checked before the tree's electrical validation dereferences it.
+	exact := Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}
+	if err := exact.Validate(); err != nil {
+		return nil, err
 	}
-	if err := lib.Validate(); err != nil {
+	if err := t.Validate(); err != nil {
 		return nil, invalid(err)
 	}
 	if err := p.Validate(); err != nil {
@@ -196,38 +199,8 @@ func Solve(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Pa
 	}
 	opts.Engine = engine
 
-	if opts.Cache == nil {
-		return solveLadder(ctx, t, lib, p, opts)
-	}
-	// Cached mode: the ladder runs as the fill of a coalescing cache
-	// lookup. The key covers everything that steers the output —
-	// canonical problem hash, output-affecting options, resource caps
-	// (budget classes cache separately) — and excludes deadlines and
-	// Workers, which never change the bytes of a stored result: only
-	// deterministically-degraded or exact results are stored (see
-	// cacheable). Concurrent identical requests share one ladder run.
-	key := SolveCacheKey(Problem{Tree: t, Library: lib, Params: p, Objective: MinBuffersNoise}, opts)
-	res, out, err := opts.Cache.Do(ctx, key, func() (*SolveResult, bool, error) {
-		r, err := solveLadder(ctx, t, lib, p, opts)
-		if err != nil {
-			return nil, false, err
-		}
-		return r, Cacheable(r), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Cached = out.Hit
-	res.Coalesced = out.Coalesced
-	return res, nil
-}
-
-// solveLadder is Solve's degradation ladder, separated so the cache can
-// run it as a fill function. Inputs are pre-validated.
-func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p noise.Params, opts Options) (*SolveResult, error) {
 	type tierFn func(b *guard.Budget) (*Result, error)
 
-	exactOpts := opts
 	cappedOpts := opts
 	cappedOpts.SafePruning = false // the 4D dominance scan is the cost center
 	cappedOpts.Sizing = nil
@@ -238,14 +211,16 @@ func solveLadder(ctx context.Context, t *rctree.Tree, lib *buffers.Library, p no
 		run      tierFn
 	}{
 		{TierExact, 0, func(b *guard.Budget) (*Result, error) {
-			o := exactOpts
+			o := opts
 			o.Budget = b
-			return BuffOptMinBuffers(t, lib, p, o)
+			return Optimize(b.Context(), exact, o)
 		}},
 		{TierCappedDP, cappedDPCandidates, func(b *guard.Budget) (*Result, error) {
 			o := cappedOpts
 			o.Budget = b
-			return BuffOptK(t, lib, p, cappedDPBuffers, o)
+			k := cappedDPBuffers
+			capped := Problem{Tree: t, Library: lib, Params: p, Objective: MaxSlackNoise, MaxBuffers: &k}
+			return Optimize(b.Context(), capped, o)
 		}},
 		{TierGreedy, 0, func(b *guard.Budget) (*Result, error) {
 			return GreedyIterative(t, lib, GreedyOptions{

@@ -129,16 +129,18 @@ func Cacheable(r *SolveResult) bool {
 	return true
 }
 
-// SolveCacheKey is the cache key for Solve(tree, lib, params, opts): the
-// problem's canonical hash extended with the Options fields that steer
-// Solve's output. Resource caps are included — a budget-starved ladder
-// deterministically lands on a different (degraded) answer than an
-// uncapped one, so each budget class caches under its own key and a
-// starved answer never masks an exact one. Deadlines and Workers are
-// excluded: deadline-shaped results are refused by Cacheable, and
-// results are bit-identical across worker counts.
-func SolveCacheKey(tree treeHasher, opts Options) string {
-	return optionsKey("solve", tree, opts, true)
+// SolveCacheKey is the cache key for Solve(p.Tree, p.Library, p.Params,
+// opts): the problem's canonical hash extended with the Options fields
+// that steer Solve's output. Callers cache a Solve by running it as the
+// fill of SolveCache.Do under this key, storing only Cacheable results.
+// Resource caps are included — a budget-starved ladder deterministically
+// lands on a different (degraded) answer than an uncapped one, so each
+// budget class caches under its own key and a starved answer never masks
+// an exact one. Deadlines and the DP's worker count are excluded:
+// deadline-shaped results are refused by Cacheable, and results are
+// bit-identical across worker counts.
+func SolveCacheKey(p Problem, opts Options) string {
+	return optionsKey("solve", p, opts, true)
 }
 
 // OptimizeCacheKey is the cache key for Optimize(ctx, p, opts). Unlike
@@ -149,11 +151,7 @@ func OptimizeCacheKey(p Problem, opts Options) string {
 	return optionsKey("optimize", p, opts, false)
 }
 
-// treeHasher lets SolveCacheKey accept a Problem (or anything exposing a
-// canonical hash) without re-deriving one here.
-type treeHasher interface{ CanonicalHash() string }
-
-func optionsKey(mode string, p treeHasher, opts Options, includeCaps bool) string {
+func optionsKey(mode string, p Problem, opts Options, includeCaps bool) string {
 	h := sha256.New()
 	var buf [8]byte
 	u64 := func(v uint64) {

@@ -115,11 +115,11 @@ func TestConcurrentParallelSolves(t *testing.T) {
 					MaxSinks:    8,
 					BufferSites: true,
 				})
-				// Workers forced past 1 so the pool path runs even on the
+				// workers forced past 1 so the pool path runs even on the
 				// small trees (and on single-CPU hosts, where auto mode
 				// would stay serial). Noise-unfixable nets may fail; what
 				// the gate cares about is the cleanup below.
-				res, err := Solve(context.Background(), tr, lib, unitParams, Options{Workers: 4})
+				res, err := Solve(context.Background(), tr, lib, unitParams, Options{workers: 4})
 				if err == nil && (res.Result == nil || res.Tree == nil) {
 					t.Error("success with no solution")
 				}

@@ -15,13 +15,14 @@
 // tree plus a node → buffer assignment that the elmore and noise analyzers
 // accept directly.
 //
-// The preferred entry points are Optimize (one objective, one call),
-// Solve (the degradation ladder), and NewSession/Delta (incremental
-// re-solves over an edit stream, reusing untouched subtrees). The named
-// wrappers BuffOpt, BuffOptK, BuffOptMinBuffers, DelayOpt, and DelayOptK
-// are deprecated aliases for Optimize with the corresponding Objective;
-// they remain for source compatibility and their equivalence is pinned
-// by tests.
+// The dynamic program has one front door per use: Optimize (one
+// objective, one call — the paper's DelayOpt, DelayOpt(k), BuffOpt,
+// BuffOpt(k), and the Section V BuffOpt configuration are its Objective
+// and MaxBuffers settings), Solve (the degradation ladder), and
+// NewSession/Delta (incremental re-solves over an edit stream, reusing
+// untouched subtrees). All three reach the same objective driver, so
+// their answers are bit-identical. Callers that cache whole-net solves
+// run Solve as the fill of a SolveCache lookup keyed by SolveCacheKey.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -19,8 +20,8 @@ import (
 // builds on) across the benchmark suite.
 type SizingAblation struct {
 	Nets int
-	// BuffersPlain/BuffersSized are total buffers inserted by
-	// BuffOptMinBuffers without and with sizing.
+	// BuffersPlain/BuffersSized are total buffers inserted by the
+	// MinBuffersNoise objective without and with sizing.
 	BuffersPlain, BuffersSized int
 	// WidenedWires counts wires assigned a non-minimum width.
 	WidenedWires int
@@ -47,10 +48,9 @@ func (s *Suite) RunSizingAblation() SizingAblation {
 	}
 	rows := make([]per, len(s.Nets))
 	s.forEachNet(func(i int) {
-		plain, err1 := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise,
-			core.Options{})
-		sized, err2 := core.BuffOptMinBuffers(s.Segmented[i], s.Library, s.Tech.Noise,
-			core.Options{Sizing: sizing})
+		p := s.problem(i, core.MinBuffersNoise)
+		plain, err1 := core.Optimize(context.Background(), p, core.Options{})
+		sized, err2 := core.Optimize(context.Background(), p, core.Options{Sizing: sizing})
 		if err1 != nil || err2 != nil {
 			rows[i].failed = true
 			return
@@ -112,7 +112,8 @@ type GreedyAblation struct {
 
 // RunGreedyAblation runs both methods over the suite. The greedy baseline
 // maximizes slack subject to noise like BuffOpt (Problem 2), so the DP
-// side uses core.BuffOpt for an apples-to-apples slack comparison.
+// side uses the MaxSlackNoise objective for an apples-to-apples slack
+// comparison.
 func (s *Suite) RunGreedyAblation() GreedyAblation {
 	out := GreedyAblation{Nets: len(s.Nets)}
 	type per struct {
@@ -129,7 +130,7 @@ func (s *Suite) RunGreedyAblation() GreedyAblation {
 			core.GreedyOptions{Noise: true, Params: s.Tech.Noise})
 		r.gCPU = time.Since(start)
 		start = time.Now()
-		d, derr := core.BuffOpt(s.Segmented[i], s.Library, s.Tech.Noise, core.Options{})
+		d, derr := core.Optimize(context.Background(), s.problem(i, core.MaxSlackNoise), core.Options{})
 		r.dCPU = time.Since(start)
 		if gerr == nil {
 			r.gFixed = true
@@ -208,7 +209,8 @@ func RunBufferCountCurve() (BufferCountCurve, error) {
 	lib := buffers.DefaultLibrary(0.8)
 	out := BufferCountCurve{LineMM: mm}
 	for k := 0; k <= 10; k++ {
-		res, err := core.DelayOptK(tr, lib, k, core.Options{})
+		res, err := core.Optimize(context.Background(),
+			core.Problem{Tree: tr, Library: lib, Objective: core.MaxSlack, MaxBuffers: &k}, core.Options{})
 		if err != nil {
 			return out, err
 		}
@@ -261,7 +263,8 @@ func RunProblem3Tradeoff() (Problem3Tradeoff, error) {
 	lib := buffers.DefaultLibrary(0.8)
 	var out Problem3Tradeoff
 	for k := 0; k <= 8; k++ {
-		res, err := core.BuffOptK(tr, lib, tech, k, core.Options{})
+		res, err := core.Optimize(context.Background(),
+			core.Problem{Tree: tr, Library: lib, Params: tech, Objective: core.MaxSlackNoise, MaxBuffers: &k}, core.Options{})
 		if err != nil {
 			out.Points = append(out.Points, TradeoffPoint{Buffers: k, Clean: false})
 			continue

@@ -88,4 +88,11 @@ echo "== eco gate (short): delta bit identity + session ledgers + eco chaos soak
 go test -race -short -count=1 -run 'TestDelta|TestNewSessionValidation' ./internal/core
 go test -race -short -count=1 -run 'TestDelta|TestEcoSoakUnderChaos' ./internal/server
 
+# The benchmark module gate: e2ebench is a nested module (it replaces
+# buffopt with ../), so the root `go test ./...` above never compiles it —
+# a core API change could break the benchmark while every gate above
+# stays green.
+echo "== e2ebench module: go vet + go test"
+(cd e2ebench && go vet ./... && go test -count=1 ./...)
+
 echo "check: OK"
