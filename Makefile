@@ -13,7 +13,8 @@ check:
 
 # Benchmark/regression harness: runs the suite, captures an obs metrics
 # snapshot from a real solve, and writes BENCH_<date>.json (+ benchstat
-# text). Not part of the tier-1 gate. BENCH=/BENCHTIME= override defaults.
+# text). Not part of the tier-1 gate. BENCH=/BENCHTIME=/COUNT= override
+# defaults (COUNT defaults to 5 runs per benchmark, recorded as medians).
 bench:
 	sh scripts/bench.sh
 

@@ -31,7 +31,7 @@ import (
 // representative, small enough for -bench iterations.
 const benchNets = 40
 
-func benchSuite(b *testing.B) *experiments.Suite {
+func benchSuite(b testing.TB) *experiments.Suite {
 	b.Helper()
 	s, err := experiments.NewSuite(experiments.Config{Seed: 1, NumNets: benchNets})
 	if err != nil {
@@ -143,7 +143,7 @@ func BenchmarkEq17(b *testing.B) {
 // -------------------------------------------------- subsystem benchmarks
 
 // benchNet returns one representative segmented multi-sink net.
-func benchNet(b *testing.B) (*rctree.Tree, *buffers.Library, noise.Params) {
+func benchNet(b testing.TB) (*rctree.Tree, *buffers.Library, noise.Params) {
 	b.Helper()
 	s := benchSuite(b)
 	// Pick the largest net for a meaty workload.
@@ -280,8 +280,13 @@ func sweepLibrary(n int, noiseMargin float64) *buffers.Library {
 // library itself. The classic engine's per-merge work grows quadratically
 // in the per-type candidate population while Li–Shi's grows linearly, so
 // the rows bracket the crossover BENCH and EXPERIMENTS.md quote.
+//
+// The noise-types-<b> rows run MinBuffersNoise over the same libraries.
+// Noise runs always take the classic merge, so these rows price the
+// buffer-insertion step alone as b grows — the gate for insertion work.
+// Their names fall outside benchjson's types-<b>/<engine> pairing.
 func BenchmarkLibrarySweep(b *testing.B) {
-	tr, def, _ := benchNet(b)
+	tr, def, p := benchNet(b)
 	for _, n := range []int{1, 2, 4, 8, 11, 16, 32} {
 		lib := sweepLibrary(n, 0.8)
 		if n == len(def.Buffers) {
@@ -299,6 +304,16 @@ func BenchmarkLibrarySweep(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("noise-types-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Optimize(context.Background(), core.Problem{
+					Tree: tr, Library: lib, Params: p, Objective: core.MinBuffersNoise,
+				}, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

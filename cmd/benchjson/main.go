@@ -42,6 +42,9 @@ type Benchmark struct {
 	// Extra holds custom b.ReportMetric units (e.g. "reuse_rate") keyed
 	// by unit name.
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Samples is the number of result lines of this name (go test
+	// -count) the figures summarize; each figure is their median.
+	Samples int `json:"samples"`
 }
 
 // Record is the file written to BENCH_<date>.json.
@@ -203,7 +206,75 @@ func parse(r io.Reader) (*Record, error) {
 			}
 		}
 	}
+	rec.Benchmarks = medianByName(rec.Benchmarks)
 	return rec, sc.Err()
+}
+
+// medianByName reduces repeated result lines of one name — `go test
+// -count N` prints N of them — to one Benchmark per name, in first-seen
+// order. Every figure (iterations, ns/op, B/op, allocs/op, each extra
+// unit) is the median of its own samples, the midpoint mean for an even
+// count, as benchstat summarizes runs.
+func medianByName(lines []Benchmark) []Benchmark {
+	var names []string
+	runs := map[string][]Benchmark{}
+	for _, b := range lines {
+		if _, seen := runs[b.Name]; !seen {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		med := func(field func(Benchmark) (float64, bool)) float64 {
+			var vs []float64
+			for _, r := range rs {
+				if v, ok := field(r); ok {
+					vs = append(vs, v)
+				}
+			}
+			return median(vs)
+		}
+		m := Benchmark{
+			Name:       name,
+			Samples:    len(rs),
+			Iterations: int64(med(func(b Benchmark) (float64, bool) { return float64(b.Iterations), true })),
+			NsPerOp:    med(func(b Benchmark) (float64, bool) { return b.NsPerOp, true }),
+			BPerOp:     med(func(b Benchmark) (float64, bool) { return b.BPerOp, true }),
+			AllocsOp:   med(func(b Benchmark) (float64, bool) { return b.AllocsOp, true }),
+		}
+		for _, r := range rs {
+			for unit := range r.Extra {
+				if _, done := m.Extra[unit]; done {
+					continue
+				}
+				if m.Extra == nil {
+					m.Extra = map[string]float64{}
+				}
+				m.Extra[unit] = med(func(b Benchmark) (float64, bool) {
+					v, ok := b.Extra[unit]
+					return v, ok
+				})
+			}
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count); vs is reordered. Zero for no values.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 func parseLine(line string) (Benchmark, bool) {

@@ -204,3 +204,39 @@ func TestFleetMerge(t *testing.T) {
 		t.Error("invalid fleet report accepted")
 	}
 }
+
+// TestParseRepeatedCounts: `go test -count N` prints N lines per
+// benchmark; parse reduces them to one record per name, in first-seen
+// order, each figure the median of its samples, with the sample count.
+func TestParseRepeatedCounts(t *testing.T) {
+	const text = `BenchmarkA-2   100   300 ns/op   64 B/op   3 allocs/op   0.5 reuse_rate
+BenchmarkB-2   10   7000 ns/op
+BenchmarkA-2   120   100 ns/op   32 B/op   3 allocs/op   0.7 reuse_rate
+BenchmarkA-2   90   200 ns/op   96 B/op   4 allocs/op   0.6 reuse_rate
+BenchmarkB-2   12   5000 ns/op
+`
+	rec, err := parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Benchmarks) != 2 {
+		t.Fatalf("got %d records, want one per name: %+v", len(rec.Benchmarks), rec.Benchmarks)
+	}
+	a, b := rec.Benchmarks[0], rec.Benchmarks[1]
+	if a.Name != "BenchmarkA-2" || a.Samples != 3 || a.Iterations != 100 ||
+		a.NsPerOp != 200 || a.BPerOp != 64 || a.AllocsOp != 3 || a.Extra["reuse_rate"] != 0.6 {
+		t.Errorf("odd-count median = %+v", a)
+	}
+	// Even count: the mean of the two middle samples.
+	if b.Name != "BenchmarkB-2" || b.Samples != 2 || b.Iterations != 11 || b.NsPerOp != 6000 {
+		t.Errorf("even-count median = %+v", b)
+	}
+	// A single line stays as parsed, with one sample.
+	one, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := one.Benchmarks[0]; s.Samples != 1 || s.NsPerOp != 11059143 || s.Iterations != 100 {
+		t.Errorf("single sample = %+v", s)
+	}
+}

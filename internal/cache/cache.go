@@ -22,7 +22,9 @@
 // the caller; values handed out (Get, Do) pass through Config.Clone, so
 // readers receive private copies and cannot corrupt cached state. With a
 // nil Clone the cache hands out the stored value itself, which is only
-// safe for immutable values.
+// safe for immutable values. A Config.Pack hook may keep resident values
+// in a different, compact form; Clone then turns it back into a reader's
+// copy.
 //
 // Accounting: every operation maintains the equalities the soak tests
 // assert —
@@ -62,6 +64,14 @@ type Config[V any] struct {
 	// Clone returns a private copy of a stored value for a reader. Nil
 	// means values are handed out as-is (only safe for immutable values).
 	Clone func(V) V
+	// Pack, when set, turns a value entering the cache — a fill's result
+	// or a Put value — into the form it stays resident in, e.g. a compact
+	// encoding. For a fill's result it replaces the private copy Clone
+	// would make, so it must leave its argument untouched and share no
+	// mutable state with it; Clone must accept what Pack returns, since
+	// every value leaving the cache passes through Clone. Nil keeps values
+	// as they enter.
+	Pack func(V) V
 	// Namespace prefixes the obs metric names: namespace "server" yields
 	// "server.cache.hits" and friends. Empty means "cache.hits".
 	Namespace string
@@ -152,6 +162,15 @@ func (c *Cache[V]) clone(v V) V {
 	return c.cfg.Clone(v)
 }
 
+// private returns the cache's own copy of a fill's result: its Pack form
+// when Config.Pack is set, a Clone otherwise.
+func (c *Cache[V]) private(v V) V {
+	if c.cfg.Pack != nil {
+		return c.cfg.Pack(v)
+	}
+	return c.clone(v)
+}
+
 // size applies Config.Size (1 when nil).
 func (c *Cache[V]) size(v V) int64 {
 	if c.cfg.Size == nil {
@@ -190,11 +209,15 @@ func (c *Cache[V]) getLocked(key string) (V, bool) {
 	return zero, false
 }
 
-// Put stores v under key, taking ownership of v, and evicts LRU entries
-// until the bounds hold again. A value larger than MaxBytes on its own is
-// rejected (counted in Stats.Rejected). Re-putting an existing key
-// replaces the value (the old one counts as evicted).
+// Put stores v under key, taking ownership of v (kept in its Pack form
+// when Config.Pack is set), and evicts LRU entries until the bounds hold
+// again. A value larger than MaxBytes on its own is rejected (counted in
+// Stats.Rejected). Re-putting an existing key replaces the value (the old
+// one counts as evicted).
 func (c *Cache[V]) Put(key string, v V) {
+	if c.cfg.Pack != nil {
+		v = c.cfg.Pack(v)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(key, v)
@@ -371,7 +394,7 @@ func (c *Cache[V]) finishFlight(key string, f *flight[V], v V, store bool, err e
 		// One private copy serves both the resident entry and the
 		// flight's waiters; the leader's own return value stays with the
 		// leader, so neither side can mutate the other's bytes.
-		priv := c.clone(v)
+		priv := c.private(v)
 		f.val = priv
 		c.mu.Lock()
 		if store {

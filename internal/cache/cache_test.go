@@ -441,3 +441,63 @@ func TestPurge(t *testing.T) {
 	}
 	checkBooks(t, c)
 }
+
+// TestPackHook: Config.Pack turns every value entering the cache — a
+// fill's result and a Put value — into its resident form, sized as
+// packed; every value leaving passes through Clone; and the leader keeps
+// its own unpacked return value.
+func TestPackHook(t *testing.T) {
+	var packs atomic.Int64
+	c := newTestCache(Config[*val]{
+		Size: sizeVal,
+		// The resident form drops the blob's spare capacity and marks
+		// itself with a negative n; Clone restores the sign.
+		Pack: func(v *val) *val {
+			packs.Add(1)
+			return &val{n: -v.n, blob: append([]byte(nil), v.blob...)}
+		},
+		Clone: func(v *val) *val {
+			cp := cloneVal(v)
+			if cp.n < 0 {
+				cp.n = -cp.n
+			}
+			return cp
+		},
+	})
+
+	leader := &val{n: 7, blob: []byte("abc")}
+	got, _, err := c.Do(context.Background(), "k", func() (*val, bool, error) { return leader, true, nil })
+	if err != nil || got != leader {
+		t.Fatalf("leader got %v (err %v), want its own return value", got, err)
+	}
+	if packs.Load() != 1 || leader.n != 7 {
+		t.Fatalf("fill: %d packs, leader n = %d; want one pack that leaves the leader's value alone", packs.Load(), leader.n)
+	}
+	c.Put("p", &val{n: 9, blob: []byte("defg")})
+	if packs.Load() != 2 {
+		t.Fatalf("Put: %d packs, want 2", packs.Load())
+	}
+	if s := c.Stats(); s.Bytes != 7 {
+		t.Fatalf("resident bytes %d, want the packed sizes 3 + 4", s.Bytes)
+	}
+
+	for _, k := range []string{"k", "p"} {
+		v, ok := c.Get(k)
+		if !ok || v.n < 0 {
+			t.Fatalf("Get(%s) = %+v: a packed value leaked", k, v)
+		}
+		v.blob[0] = 'X' // never reaches the resident form
+		if pv, _ := c.Peek(k); pv.n < 0 || pv.blob[0] == 'X' {
+			t.Fatalf("Peek(%s) = %+v: packed or shared with a reader", k, pv)
+		}
+	}
+	for _, e := range c.Entries() {
+		if e.Val.n < 0 {
+			t.Fatalf("Entries leaked packed value %+v", e.Val)
+		}
+	}
+	if packs.Load() != 2 {
+		t.Fatalf("reads packed: %d packs, want 2", packs.Load())
+	}
+	checkBooks(t, c)
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
 	"buffopt/internal/rctree"
 )
@@ -153,7 +154,7 @@ func optimize(p Problem, opts Options) (*Result, error) {
 	if !ok {
 		return nil, noSolution(p)
 	}
-	return finishVG(p.Tree, best, vo)
+	return finishVG(p.Tree, p.Library, best, vo)
 }
 
 // minBuffers solves Problem 3, the configuration of the BuffOpt tool in
@@ -190,7 +191,7 @@ func minBuffers(p Problem, vo vgOptions) (*Result, error) {
 		// feasible solution, with the best slack at that cost.
 		for _, c := range cands {
 			if c.q >= 0 {
-				return finishVG(p.Tree, c, vo)
+				return finishVG(p.Tree, p.Library, c, vo)
 			}
 		}
 		// Noise is satisfiable but timing is not (yet): remember the best
@@ -203,7 +204,7 @@ func minBuffers(p Problem, vo vgOptions) (*Result, error) {
 		fallback = &c
 	}
 	if fallback != nil {
-		return finishVG(p.Tree, *fallback, vo)
+		return finishVG(p.Tree, p.Library, *fallback, vo)
 	}
 	return nil, noSolution(p)
 }
@@ -247,8 +248,9 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 // finishVG materializes a chosen candidate into a Result with a private
 // tree copy, applying any chosen wire widths to the copy's parasitics so
 // the standard analyzers see exactly what the dynamic program computed.
-func finishVG(t *rctree.Tree, c vgCand, vo vgOptions) (*Result, error) {
-	assign, widths := collectSol(c.sol)
+// lib is the library the run solved with; the solution links index it.
+func finishVG(t *rctree.Tree, lib *buffers.Library, c vgCand, vo vgOptions) (*Result, error) {
+	assign, widths := collectSol(c.sol, lib)
 	work := t.Clone()
 	for v, wd := range widths {
 		node := work.Node(v)

@@ -56,8 +56,9 @@ func diffCorpus(t testing.TB, n int) ([]*rctree.Tree, *buffers.Library, noise.Pa
 
 // candsEqual compares two candidate lists bit for bit: every float via
 // math.Float64bits (so -0 vs 0 or differing NaNs cannot hide), every
-// count exactly, and the flattened solution DAGs as assignment maps.
-func candsEqual(a, b []vgCand) error {
+// count exactly, and the flattened solution DAGs as assignment maps
+// (buffer indexes resolved against lib).
+func candsEqual(lib *buffers.Library, a, b []vgCand) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("list lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -72,8 +73,8 @@ func candsEqual(a, b []vgCand) error {
 		if x.nbuf != y.nbuf || x.cost != y.cost || x.pol != y.pol {
 			return fmt.Errorf("candidate %d counts differ: %+v vs %+v", i, x, y)
 		}
-		ax, wx := collectSol(x.sol)
-		ay, wy := collectSol(y.sol)
+		ax, wx := collectSol(x.sol, lib)
+		ay, wy := collectSol(y.sol, lib)
 		if err := assignEqual(ax, ay); err != nil {
 			return fmt.Errorf("candidate %d solutions differ: %w", i, err)
 		}
@@ -167,7 +168,7 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				serial, ssnap := runOnce(tr, prof.opts, 1)
 				for _, workers := range []int{2, 4} {
 					par, psnap := runOnce(tr, prof.opts, workers)
-					if err := candsEqual(serial, par); err != nil {
+					if err := candsEqual(lib, serial, par); err != nil {
 						t.Fatalf("net %d (%s), workers %d: %v",
 							i, tr.Node(tr.Root()).Name, workers, err)
 					}

@@ -10,9 +10,11 @@ import (
 // replaced by an O(L1+L2) two-pointer walk over the branches' Pareto
 // frontiers, cutting the whole DP from O(b²n²) to O(bn²) for a b-type
 // library. Everything else (sink seeding, buffer insertion, pruning, wire
-// charging) is byte-for-byte the code VG runs; the engine changes how
-// merge candidates are enumerated, never their arithmetic (mergedCand is
-// shared) and never which values survive pruning.
+// charging) is the one computeNode path VG runs too — the engine swaps
+// only the merge call inside it; it changes how merge candidates are
+// enumerated, never their arithmetic (mergedCand is shared) and never
+// which values survive pruning. The dense insertion table (insertBuffers)
+// and the slices.SortFunc orders are shared by both engines.
 //
 // Why the walk loses nothing, exactly:
 //
@@ -137,7 +139,7 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 			if ga.pol != gb.pol {
 				continue
 			}
-			if opts.countIndexed && opts.maxBuffers > 0 && ga.cost+gb.cost > opts.maxBuffers {
+			if opts.countIndexed && ga.cost+gb.cost > opts.maxBuffers {
 				continue
 			}
 			i, j := 0, 0

@@ -54,7 +54,10 @@ type memoTable = cache.Cache[*subtreeMemo]
 // the id list. Generous constants — the byte bound is a safety valve.
 func subtreeMemoSize(e *subtreeMemo) int64 {
 	const (
-		base    = 96
+		base = 96
+		// perCand overstates a candidate's footprint (a solLink holding
+		// a library index is 40 B); it stays because the memo byte
+		// budget's eviction points are tuned to it.
 		perCand = 160 // vgCand (72 B) + amortized solLink share
 		perID   = 8
 	)
@@ -107,8 +110,11 @@ func (m *memoRun) key(v rctree.NodeID) string {
 // library: everything besides the subtree content that determines a
 // node's candidate list. Budget caps are excluded (they can only abort a
 // run, never change a successful list), as are Workers (bit-identical by
-// the differential gate). maxBuffers is included because the iterative
-// deepening ladder genuinely changes list contents per cap.
+// the differential gate). In count-indexed runs maxBuffers is included —
+// every cap, 0 too, is an explicit bound, and the iterative deepening
+// ladder genuinely changes list contents per cap. The library is hashed
+// in order, which also keys the buffer indexes the stored solution links
+// carry.
 func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -134,7 +140,9 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 		f64(o.params.Slope)
 	}
 	bol(o.countIndexed)
-	u64(uint64(int64(o.maxBuffers)))
+	if o.countIndexed {
+		u64(uint64(int64(o.maxBuffers)))
+	}
 	bol(o.safePruning)
 	u64(uint64(len(o.widths)))
 	for _, w := range o.widths {

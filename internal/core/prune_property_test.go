@@ -1,11 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/rctree"
 )
 
 // Property tests on the DP's list invariants. The Li–Shi merge is only
@@ -17,9 +18,14 @@ import (
 // including exact float ties (values drawn from a small grid) so the
 // tie-breaking rules are exercised, not just generic positions.
 
+// witnessLib names the buffer indexes randCandList's links use: one per
+// list tag, so a merged solution shows which side each link came from.
+var witnessLib = &buffers.Library{Buffers: []buffers.Buffer{{Name: "c"}, {Name: "l"}, {Name: "r"}}}
+
 // randCandList builds a raw candidate list as a subtree might hand it to
 // a parent: random values on a coarse grid (ties likely), each with a
-// distinct solution link so witness mix-ups are visible.
+// distinct solution link — its own node, and the tag's witnessLib
+// buffer — so witness mix-ups are visible.
 func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 	list := make([]vgCand, n)
 	for i := range list {
@@ -32,7 +38,8 @@ func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 			cost: rng.Intn(6),
 			pol:  uint8(rng.Intn(2)),
 			sol: &solLink{
-				buf: buffers.Buffer{Name: fmt.Sprintf("%s%d", tag, i)},
+				node: rctree.NodeID(i),
+				buf:  int32(slices.IndexFunc(witnessLib.Buffers, func(b buffers.Buffer) bool { return b.Name == tag })),
 			},
 		}
 	}
@@ -130,7 +137,7 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(pruned, again); err != nil {
+				if err := candsEqual(witnessLib, pruned, again); err != nil {
 					t.Fatalf("trial %d: pruning not idempotent: %v", trial, err)
 				}
 				if !opts.safePruning {
@@ -216,7 +223,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(pc, pw); err != nil {
+				if err := candsEqual(witnessLib, pc, pw); err != nil {
 					t.Fatalf("trial %d: merge paths disagree after pruning: %v", trial, err)
 				}
 			}

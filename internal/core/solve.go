@@ -133,6 +133,11 @@ type SolveResult struct {
 	// Coalesced reports that this request missed the cache but shared a
 	// concurrent identical request's solve instead of running its own.
 	Coalesced bool
+
+	// residentTree holds the solution tree in its rctree binary encoding
+	// while the result is resident in a SolveCache (Solution.Tree is nil
+	// then); Clone decodes it. Nil on every result a caller receives.
+	residentTree []byte
 }
 
 // Degradation ladder deadline shares: each tier may spend at most this

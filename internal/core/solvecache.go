@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/cache"
@@ -23,22 +26,57 @@ type SolveCache = cache.Cache[*SolveResult]
 
 // NewSolveCache builds a cache for SolveResults bounded by entries and
 // bytes (0 disables the respective bound), reporting its counters under
-// "<namespace>.cache.*" in the obs registry. Values are deep-copied on
-// every read, so callers may freely mutate what they get back.
+// "<namespace>.cache.*" in the obs registry. Resident results keep their
+// solution tree in its binary encoding (packSolveResult); every read
+// decodes a fresh deep copy, so callers may freely mutate what they get
+// back.
 func NewSolveCache(entries int, bytes int64, namespace string) *SolveCache {
 	return cache.New(cache.Config[*SolveResult]{
 		MaxEntries: entries,
 		MaxBytes:   bytes,
 		Size:       solveResultSize,
 		Clone:      (*SolveResult).Clone,
+		Pack:       packSolveResult,
 		Namespace:  namespace,
 	})
 }
 
-// solveResultSize approximates a result's resident footprint: the cloned
-// tree dominates, then the assignment maps and tier metadata. The
-// constants are deliberately generous — the byte bound is a memory
-// safety valve, not an accounting ledger.
+// packBufs recycles packSolveResult's encoding scratch, so each resident
+// tree costs exactly one right-sized allocation.
+var packBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// packSolveResult is the SolveCache's resident form of r: a private copy
+// whose solution tree is held as rctree.AppendBinary bytes instead of a
+// *Tree. The encoding is the snapshot codec's, bit-exact, so the tree
+// Clone decodes for a reader is the one the solver returned; the bytes
+// are a fraction of the tree's heap and pointer-free, so a warm cache of
+// thousands of results costs the garbage collector nothing to scan. A
+// tree that does not validate — which DecodeBinary would refuse — stays
+// a plain clone.
+func packSolveResult(r *SolveResult) *SolveResult {
+	if r == nil || r.Result == nil || r.Solution == nil || r.Solution.Tree == nil ||
+		r.Solution.Tree.Validate() != nil {
+		return r.Clone()
+	}
+	sol := *r.Solution
+	sol.Tree = nil
+	res := *r.Result
+	res.Solution = &sol
+	shallow := *r
+	shallow.Result = &res
+	p := shallow.Clone()
+	bp := packBufs.Get().(*[]byte)
+	*bp = r.Solution.Tree.AppendBinary((*bp)[:0])
+	p.residentTree = slices.Clone(*bp)
+	packBufs.Put(bp)
+	return p
+}
+
+// solveResultSize approximates a result's resident footprint: the
+// solution tree dominates — its encoded bytes for a packed result — then
+// the assignment maps and tier metadata. The constants are deliberately
+// generous — the byte bound is a memory safety valve, not an accounting
+// ledger.
 func solveResultSize(r *SolveResult) int64 {
 	const (
 		base      = 256 // SolveResult + Result + Solution headers
@@ -51,6 +89,7 @@ func solveResultSize(r *SolveResult) int64 {
 	if r == nil {
 		return sz
 	}
+	sz += int64(len(r.residentTree))
 	if r.Result != nil && r.Solution != nil {
 		if r.Tree != nil {
 			sz += int64(r.Tree.Len()) * perNode
@@ -64,7 +103,8 @@ func solveResultSize(r *SolveResult) int64 {
 
 // Clone deep-copies the result: the solution tree, the assignment maps,
 // and the tier metadata. Mutating the copy never affects the original,
-// which is what makes cached results safe to hand to many callers.
+// which is what makes cached results safe to hand to many callers. A
+// packed (cache-resident) result's tree is decoded into the copy.
 func (r *SolveResult) Clone() *SolveResult {
 	if r == nil {
 		return nil
@@ -72,6 +112,16 @@ func (r *SolveResult) Clone() *SolveResult {
 	c := *r
 	if r.Result != nil {
 		c.Result = r.Result.Clone()
+	}
+	if r.residentTree != nil {
+		tree, err := rctree.DecodeBinary(r.residentTree)
+		if err != nil {
+			// packSolveResult only encodes trees that validate, so the
+			// bytes always decode; failing here means memory corruption.
+			panic(fmt.Sprintf("core: resident solve result does not decode: %v", err))
+		}
+		c.Solution.Tree = tree
+		c.residentTree = nil
 	}
 	if r.TierErrors != nil {
 		c.TierErrors = make([]*TierError, len(r.TierErrors))

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"buffopt/internal/buffers"
+	"buffopt/internal/cache"
 	"buffopt/internal/guard"
 	"buffopt/internal/noise"
 	"buffopt/internal/obs"
@@ -297,4 +300,128 @@ func TestSolveCacheEvictionBounds(t *testing.T) {
 	if s.Hits != 0 || s.Misses != int64(2*len(nets)) {
 		t.Errorf("hits %d misses %d; a 1-entry cache cannot hit on a 4-net round-robin", s.Hits, s.Misses)
 	}
+}
+
+// TestSolveCacheResidentForm: a resident result keeps its solution tree
+// only as rctree binary bytes — nil Solution.Tree, Size counted from the
+// encoding — and every way a result leaves the cache (a hit, a coalesced
+// waiter, Peek, Entries, a snapshot save and load) decodes a tree whose
+// encoding equals the filled result's. Mutating a returned result never
+// reaches the resident bytes.
+func TestSolveCacheResidentForm(t *testing.T) {
+	nets, lib, p := diffCorpus(t, 1)
+	tr := nets[0]
+	ctx := context.Background()
+	filled, err := Solve(ctx, tr, lib, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filled.Solution.Tree.AppendBinary(nil)
+	wantJSON := string(resultJSON(t, filled.Result))
+	check := func(how string, r *SolveResult) {
+		t.Helper()
+		if r == nil || r.Solution == nil || r.Solution.Tree == nil || r.residentTree != nil {
+			t.Fatalf("%s: result not decoded: %+v", how, r)
+		}
+		if got := r.Solution.Tree.AppendBinary(nil); !bytes.Equal(got, want) {
+			t.Fatalf("%s: tree encoding differs from the filled result's", how)
+		}
+		if got := string(resultJSON(t, r.Result)); got != wantJSON {
+			t.Fatalf("%s: result differs:\nwant %s\ngot  %s", how, wantJSON, got)
+		}
+	}
+
+	packed := packSolveResult(filled)
+	if packed.Solution.Tree != nil || !bytes.Equal(packed.residentTree, want) {
+		t.Fatal("packed result does not hold its tree as the binary encoding")
+	}
+	if filled.Solution.Tree == nil || filled.residentTree != nil {
+		t.Fatal("packing modified its argument")
+	}
+	treeless := *packed
+	treeless.residentTree = nil
+	if solveResultSize(packed) != solveResultSize(&treeless)+int64(len(want)) {
+		t.Fatalf("packed size %d is not the treeless size %d plus %d encoded bytes",
+			solveResultSize(packed), solveResultSize(&treeless), len(want))
+	}
+
+	// A leader blocked in its fill, and a waiter coalesced onto it.
+	c := NewSolveCache(0, 0, "test")
+	key := SolveCacheKey(Problem{Tree: tr, Library: lib, Params: p, Objective: MinBuffersNoise}, Options{})
+	release := make(chan struct{})
+	fill := func() (*SolveResult, bool, error) {
+		<-release
+		return filled, true, nil
+	}
+	waitMisses := func(n int64) {
+		for c.Stats().Misses < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var wg sync.WaitGroup
+	var waiter *SolveResult
+	var waiterOut cache.Outcome
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, _, err := c.Do(ctx, key, fill); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitMisses(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if waiter, waiterOut, err = c.Do(ctx, key, fill); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitMisses(2)
+	close(release)
+	wg.Wait()
+	if !waiterOut.Coalesced {
+		t.Fatalf("waiter outcome %+v, want coalesced", waiterOut)
+	}
+	check("coalesced waiter", waiter)
+	if got := c.Stats().Bytes; got != solveResultSize(packed) {
+		t.Fatalf("resident bytes %d, want the packed size %d", got, solveResultSize(packed))
+	}
+
+	hit, out, err := c.Do(ctx, key, fill)
+	if err != nil || !out.Hit {
+		t.Fatalf("hit: outcome %+v, err %v", out, err)
+	}
+	check("hit", hit)
+	// Vandalize the hit; the resident bytes must not notice.
+	hit.Solution.Tree.Node(hit.Solution.Tree.Root()).Wire.R = 1e30
+	for id := range hit.Buffers {
+		delete(hit.Buffers, id)
+	}
+	peeked, ok := c.Peek(key)
+	if !ok {
+		t.Fatal("Peek missed a resident key")
+	}
+	check("Peek after mutating a hit", peeked)
+	entries := c.Entries()
+	if len(entries) != 1 || entries[0].Key != key {
+		t.Fatalf("Entries = %d entries, want the one key", len(entries))
+	}
+	check("Entries", entries[0].Val)
+
+	path := filepath.Join(t.TempDir(), "cache.snap")
+	if saved, _, err := c.SaveSnapshot(path, EncodeSolveResult); err != nil || saved != 1 {
+		t.Fatalf("SaveSnapshot saved %d: %v", saved, err)
+	}
+	restored := NewSolveCache(0, 0, "test")
+	if n, err := restored.LoadSnapshot(path, DecodeSolveResult); err != nil || n != 1 {
+		t.Fatalf("LoadSnapshot loaded %d: %v", n, err)
+	}
+	if got := restored.Stats().Bytes; got != solveResultSize(packed) {
+		t.Fatalf("restored resident bytes %d, want the packed size %d", got, solveResultSize(packed))
+	}
+	loaded, ok := restored.Peek(key)
+	if !ok {
+		t.Fatal("restored cache lost the key")
+	}
+	check("snapshot load", loaded)
 }

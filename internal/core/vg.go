@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 
 	"buffopt/internal/buffers"
 	"buffopt/internal/guard"
@@ -70,19 +71,24 @@ type vgCand struct {
 }
 
 // solLink is one decision in a persistent solution list shared between
-// candidates: either a buffer assignment at a node, or (isWidth) a width
-// multiplier chosen for the node's parent wire.
+// candidates: either a buffer assignment at a node (buf indexes the run's
+// library), or (isWidth) a width multiplier chosen for the node's parent
+// wire. Links carry the library index rather than the Buffer itself: the
+// index is stable for every list a run or a session memo can combine,
+// because memo entries are keyed by the library's content
+// (memoKeySuffix).
 type solLink struct {
 	node    rctree.NodeID
-	buf     buffers.Buffer
+	buf     int32
 	width   float64
 	isWidth bool
 	prev    [2]*solLink
 }
 
 // collectSol flattens a solution DAG into a buffer assignment and a wire
-// width map.
-func collectSol(s *solLink) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID]float64) {
+// width map, resolving buffer indexes against lib, the library the DAG
+// was built with.
+func collectSol(s *solLink, lib *buffers.Library) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID]float64) {
 	assign := make(map[rctree.NodeID]buffers.Buffer)
 	widths := make(map[rctree.NodeID]float64)
 	seen := map[*solLink]bool{}
@@ -97,7 +103,7 @@ func collectSol(s *solLink) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID
 		if l.isWidth {
 			widths[l.node] = l.width
 		} else {
-			assign[l.node] = l.buf
+			assign[l.node] = lib.Buffers[l.buf]
 		}
 		stack = append(stack, l.prev[0], l.prev[1])
 	}
@@ -109,7 +115,7 @@ type vgOptions struct {
 	noise        bool         // enforce noise constraints (BuffOpt) or not (DelayOpt)
 	params       noise.Params // estimation-mode noise parameters
 	countIndexed bool         // keep per-buffer-count lists (Lillis [18])
-	maxBuffers   int          // with countIndexed: drop candidates above this count (0 = unlimited)
+	maxBuffers   int          // with countIndexed: drop candidates whose cost exceeds this cap (0 allows no buffer)
 	safePruning  bool         // include (I, NS) in the dominance test
 	// widths are the wire width multipliers available per wire (Lillis
 	// [18] simultaneous wire sizing); nil or empty means {1}.
@@ -133,6 +139,9 @@ type vgOptions struct {
 	// arena recycles candidate-list backing arrays for the run; installed
 	// by runVG alongside stats.
 	arena *candArena
+	// ins is insertBuffers' scratch table, one per goroutine of the walk
+	// (runVG installs it, runVGParallel gives each worker its own).
+	ins *insertTable
 	// engine selects the candidate-list organization; runVG resolves the
 	// public name ("auto" included) to EngineVG or EngineLiShi before the
 	// walk starts, so computeNode only ever sees the two concrete names.
@@ -255,6 +264,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	ar := &candArena{}
 	opts.arena = ar
 	defer ar.flush()
+	opts.ins = &insertTable{}
 
 	lists := make([][]vgCand, t.Len())
 	var err error
@@ -306,13 +316,40 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].cost != out[j].cost {
-			return out[i].cost < out[j].cost
+	slices.SortFunc(out, func(a, b vgCand) int {
+		if a.cost != b.cost {
+			return cmp.Compare(a.cost, b.cost)
 		}
-		return out[i].q > out[j].q
+		return cmpDesc(a.q, b.q)
 	})
 	return out, nil
+}
+
+// The DP's sort comparators are written so that cmp(a, b) < 0 holds
+// exactly when the field-by-field less order holds. slices.SortFunc runs
+// the same pdqsort as the sort package's reflection-based Slice, so lists
+// — ties included — come out permuted exactly as that sort permuted them
+// with the less function, which the golden answers and the work-counter
+// pins depend on.
+
+// cmpAsc orders two floats ascending, for a caller that has already
+// established a != b.
+func cmpAsc(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	return 1
+}
+
+// cmpDesc orders two floats descending; equal floats compare equal.
+func cmpDesc(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a == b:
+		return 0
+	}
+	return 1
 }
 
 // runVGSerial is the single-goroutine bottom-up walk over order — the
@@ -481,86 +518,148 @@ var oneWidth = []float64{1}
 // subject to the noise constraint R_b·I(v) ≤ NS(v) when noise is enforced
 // — the boldface modification of Fig. 11, Step 5. The appended candidates
 // are emitted in a deterministic total order — (cost, load, q, buffer
-// index, parity) — never map order, so repeated runs and parallel
-// schedules see byte-identical lists.
+// index, parity) — so repeated runs and parallel schedules see
+// byte-identical lists.
+//
+// The bests live in a dense table indexed by (buffer, parity, cost) whose
+// slots hold only the best slack and the index of its source candidate;
+// a winner's candidate and solution link are built after the scan, so the
+// scan itself allocates nothing.
 func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
-	type key struct {
-		buf  int
-		pol  uint8
-		cost int
+	tab := opts.ins
+	span := tab.costAxis(list, opts.countIndexed)
+	if need := len(lib.Buffers) * 2 * span; len(tab.slots) < need {
+		tab.slots = make([]insertSlot, need)
 	}
-	best := map[key]vgCand{}
-	for bi, b := range lib.Buffers {
-		for _, c := range list {
+	for bi := range lib.Buffers {
+		b := &lib.Buffers[bi]
+		w := b.Cost()
+		inv := uint8(0)
+		if b.Inverting {
+			inv = 1
+		}
+		for i := range list {
+			c := &list[i]
 			if opts.noise && b.R*c.down > c.ns {
 				continue // inserting here would violate downstream noise
 			}
-			if opts.countIndexed && opts.maxBuffers > 0 && c.cost+b.Cost() > opts.maxBuffers {
+			if opts.countIndexed && c.cost+w > opts.maxBuffers {
 				continue
 			}
 			q := c.q - b.Delay(c.load)
-			k := key{buf: bi, pol: c.pol}
-			if b.Inverting {
-				k.pol ^= 1
-			}
-			if opts.countIndexed {
-				k.cost = c.cost + b.Cost()
-			}
-			// Acceptance is value-canonical: on an exact slack tie the
-			// cheaper (then smaller) solution wins, never the one that
-			// happened to be scanned first. The classic and Li–Shi merges
-			// emit candidates in different orders, so a first-wins rule
-			// would make the selected cost/nbuf depend on the engine.
-			cur, ok := best[k]
-			better := !ok || q > cur.q
-			if !better && q == cur.q {
-				nc := c.cost + b.Cost()
-				better = nc < cur.cost || (nc == cur.cost && c.nbuf+1 < cur.nbuf)
-			}
-			if better {
-				best[k] = vgCand{
-					load: b.Cin,
-					q:    q,
-					down: 0,
-					ns:   b.NoiseMargin,
-					nbuf: c.nbuf + 1,
-					cost: c.cost + b.Cost(),
-					pol:  k.pol,
-					sol:  &solLink{node: v, buf: b, prev: [2]*solLink{c.sol, nil}},
+			k := (2*bi+int(c.pol^inv))*span + int(tab.costIdx[i])
+			s := &tab.slots[k]
+			if s.src == 0 {
+				tab.touched = append(tab.touched, k)
+			} else if !(q > s.q) {
+				// Acceptance is value-canonical: on an exact slack tie
+				// the cheaper (then smaller) solution wins, never the one
+				// that happened to be scanned first. The classic and
+				// Li–Shi merges emit candidates in different orders, so a
+				// first-wins rule would make the selected cost/nbuf depend
+				// on the engine.
+				cur := &list[s.src-1]
+				if q != s.q || !(c.cost < cur.cost || (c.cost == cur.cost && c.nbuf < cur.nbuf)) {
+					continue
 				}
 			}
+			s.q, s.src = q, int32(i+1)
 		}
 	}
-	if len(best) == 0 {
+	if len(tab.touched) == 0 {
 		return list
 	}
-	keys := make([]key, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := best[keys[i]], best[keys[j]]
-		if a.cost != b.cost {
-			return a.cost < b.cost
-		}
-		if a.load != b.load {
-			return a.load < b.load
-		}
-		if a.q != b.q {
-			return a.q > b.q
-		}
-		if keys[i].buf != keys[j].buf {
-			return keys[i].buf < keys[j].buf
-		}
-		return keys[i].pol < keys[j].pol
-	})
-	for _, k := range keys {
-		list = append(list, best[k])
+	n := len(list)
+	list = slices.Grow(list, len(tab.touched))
+	for _, k := range tab.touched {
+		s := &tab.slots[k]
+		bi := k / (2 * span)
+		b := &lib.Buffers[bi]
+		src := &list[s.src-1]
+		list = append(list, vgCand{
+			load: b.Cin,
+			q:    s.q,
+			down: 0,
+			ns:   b.NoiseMargin,
+			nbuf: src.nbuf + 1,
+			cost: src.cost + b.Cost(),
+			pol:  uint8(k/span) & 1,
+			sol:  &solLink{node: v, buf: int32(bi), prev: [2]*solLink{src.sol, nil}},
+		})
+		*s = insertSlot{}
 	}
 	if opts.stats != nil {
-		opts.stats.generated += int64(len(best))
+		opts.stats.generated += int64(len(tab.touched))
 	}
+	tab.touched = tab.touched[:0]
+	slices.SortFunc(list[n:], func(a, b vgCand) int {
+		switch {
+		case a.cost != b.cost:
+			return cmp.Compare(a.cost, b.cost)
+		case a.load != b.load:
+			return cmpAsc(a.load, b.load)
+		case a.q != b.q:
+			return cmpDesc(a.q, b.q)
+		case a.sol.buf != b.sol.buf:
+			return cmp.Compare(a.sol.buf, b.sol.buf)
+		}
+		return cmp.Compare(a.pol, b.pol)
+	})
 	return list
+}
+
+// insertTable is insertBuffers' reusable scratch. slots is the dense
+// (buffer, parity, cost) table — all zero between calls — and touched
+// lists the slots one call filled, so emission and reset cost the winners,
+// not the table. costIdx holds each list candidate's position on the
+// cost axis.
+type insertTable struct {
+	slots   []insertSlot
+	touched []int
+	costIdx []int32
+	costs   []int
+}
+
+// insertSlot is one (buffer, parity, cost) best: the post-buffer slack
+// and the 1-based index of its source candidate (0 = empty slot).
+type insertSlot struct {
+	q   float64
+	src int32
+}
+
+// costAxis fills costIdx for list and returns the cost axis length. A
+// buffer adds the same weight to every source, so the axis indexes source
+// costs: the span from the list's cheapest to its dearest candidate, or,
+// when that span is much longer than the list (large buffer weights), the
+// rank among the list's distinct costs. Without count indexing every
+// candidate shares one cost slot.
+func (t *insertTable) costAxis(list []vgCand, countIndexed bool) int {
+	t.costIdx = slices.Grow(t.costIdx[:0], len(list))[:len(list)]
+	if !countIndexed || len(list) == 0 {
+		clear(t.costIdx)
+		return 1
+	}
+	lo, hi := list[0].cost, list[0].cost
+	for i := range list {
+		lo, hi = min(lo, list[i].cost), max(hi, list[i].cost)
+	}
+	if span := hi - lo + 1; span <= 4*len(list) {
+		for i := range list {
+			t.costIdx[i] = int32(list[i].cost - lo)
+		}
+		return span
+	}
+	t.costs = t.costs[:0]
+	for i := range list {
+		t.costs = append(t.costs, list[i].cost)
+	}
+	slices.Sort(t.costs)
+	t.costs = slices.Compact(t.costs)
+	for i := range list {
+		r, _ := slices.BinarySearch(t.costs, list[i].cost)
+		t.costIdx[i] = int32(r)
+	}
+	return len(t.costs)
 }
 
 // mergeVG combines the candidate lists of two sibling branches: loads and
@@ -586,7 +685,7 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 			if a.pol != b.pol {
 				continue
 			}
-			if opts.countIndexed && opts.maxBuffers > 0 && a.cost+b.cost > opts.maxBuffers {
+			if opts.countIndexed && a.cost+b.cost > opts.maxBuffers {
 				continue
 			}
 			out = append(out, mergedCand(a, b))
@@ -656,33 +755,16 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if len(list) <= 1 {
 		return list, nil
 	}
-	sort.Slice(list, func(i, j int) bool {
-		a, b := &list[i], &list[j]
-		if opts.countIndexed && a.cost != b.cost {
-			return a.cost < b.cost
-		}
-		if a.pol != b.pol {
-			return a.pol < b.pol
-		}
-		if a.load != b.load {
-			return a.load < b.load
-		}
-		if a.q != b.q {
-			return a.q > b.q
-		}
-		// Total-order tiebreakers: dominance-relevant fields first, so
-		// equal (load, q) candidates survive in a deterministic order.
-		if a.down != b.down {
-			return a.down < b.down
-		}
-		if a.ns != b.ns {
-			return a.ns > b.ns
-		}
-		if a.cost != b.cost {
-			return a.cost < b.cost
-		}
-		return a.nbuf < b.nbuf
-	})
+	if opts.countIndexed {
+		slices.SortFunc(list, func(a, b vgCand) int {
+			if a.cost != b.cost {
+				return cmp.Compare(a.cost, b.cost)
+			}
+			return pruneOrder(&a, &b)
+		})
+	} else {
+		slices.SortFunc(list, func(a, b vgCand) int { return pruneOrder(&a, &b) })
+	}
 
 	sameGroup := func(a, b *vgCand) bool {
 		if a.pol != b.pol {
@@ -733,4 +815,26 @@ func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 		opts.stats.pruned += int64(origLen - len(out))
 	}
 	return out, nil
+}
+
+// pruneOrder is pruneVG's grouping order after the count-indexed cost
+// key: parity, load ascending, slack descending, then the remaining
+// fields as total-order tiebreakers — dominance-relevant fields first, so
+// equal (load, q) candidates survive in a deterministic order.
+func pruneOrder(a, b *vgCand) int {
+	switch {
+	case a.pol != b.pol:
+		return cmp.Compare(a.pol, b.pol)
+	case a.load != b.load:
+		return cmpAsc(a.load, b.load)
+	case a.q != b.q:
+		return cmpDesc(a.q, b.q)
+	case a.down != b.down:
+		return cmpAsc(a.down, b.down)
+	case a.ns != b.ns:
+		return cmpDesc(a.ns, b.ns)
+	case a.cost != b.cost:
+		return cmp.Compare(a.cost, b.cost)
+	}
+	return cmp.Compare(a.nbuf, b.nbuf)
 }

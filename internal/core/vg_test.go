@@ -332,6 +332,34 @@ func TestBuffOptKRespectsBound(t *testing.T) {
 	}
 }
 
+// TestZeroCapAdmitsNoBuffer: a count-indexed run capped at 0 is bounded,
+// not unlimited — no candidate anywhere carries a buffer, so each list
+// holds at most one candidate per parity and DelayOpt(0) is the
+// unbuffered tree.
+func TestZeroCapAdmitsNoBuffer(t *testing.T) {
+	nets, lib, _ := diffCorpus(t, 8)
+	for i, tr := range nets {
+		cands, err := runVG(tr, lib, vgOptions{countIndexed: true, maxBuffers: 0})
+		if err != nil {
+			t.Fatalf("net %d: %v", i, err)
+		}
+		for _, c := range cands {
+			if c.cost != 0 || c.nbuf != 0 || c.sol != nil {
+				t.Fatalf("net %d: cap 0 kept a buffered candidate (cost %d, nbuf %d)", i, c.cost, c.nbuf)
+			}
+		}
+		res, err := Optimize(context.Background(), Problem{
+			Tree: tr, Library: lib, Objective: MaxSlack, MaxBuffers: bound(0),
+		}, Options{})
+		if err != nil {
+			t.Fatalf("net %d: DelayOpt(0): %v", i, err)
+		}
+		if res.NumBuffers() != 0 {
+			t.Fatalf("net %d: DelayOpt(0) placed %d buffers", i, res.NumBuffers())
+		}
+	}
+}
+
 func TestRunVGRejectsBadInput(t *testing.T) {
 	tr := rctree.New("star", 1, 0)
 	for i := 0; i < 3; i++ {

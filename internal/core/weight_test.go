@@ -152,3 +152,53 @@ func TestWeightsSteerSelection(t *testing.T) {
 		t.Errorf("unit weights: cost %d != count %d", eq.Cost, eq.NumBuffers())
 	}
 }
+
+// TestWeightScaleInvariance: scaling every buffer weight and the bound k
+// by the same factor changes nothing but the reported cost. With weights
+// in the thousands the per-node cost span dwarfs the candidate list, so
+// the insertion table indexes the list's distinct costs instead of the
+// span — this pins that path to the dense one.
+func TestWeightScaleInvariance(t *testing.T) {
+	const scale = 1000
+	rng := rand.New(rand.NewSource(43))
+	p := noise.Params{CouplingRatio: 1, Slope: 1}
+	scaled := weightedLib()
+	for i := range scaled.Buffers {
+		scaled.Buffers[i].Weight *= scale
+	}
+	for trial := 0; trial < 60; trial++ {
+		tr := testutil.RandomTree(rng, testutil.TreeOptions{
+			MaxInternal: 4, MaxSinks: 4, MarginLo: 3, MarginHi: 7,
+			RATLo: 50, RATHi: 100, WireScale: 1.5, BufferSites: true,
+		})
+		if _, err := segment.ByCount(tr, 3); err != nil {
+			t.Fatal(err)
+		}
+		for _, obj := range []Objective{MaxSlack, MaxSlackNoise} {
+			want, werr := Optimize(context.Background(), Problem{
+				Tree: tr, Library: weightedLib(), Params: p, Objective: obj, MaxBuffers: bound(6),
+			}, Options{})
+			got, gerr := Optimize(context.Background(), Problem{
+				Tree: tr, Library: scaled, Params: p, Objective: obj, MaxBuffers: bound(6 * scale),
+			}, Options{})
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("trial %d, %v: unit weights err %v, scaled weights err %v", trial, obj, werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			if math.Float64bits(got.Slack) != math.Float64bits(want.Slack) || got.Cost != scale*want.Cost {
+				t.Fatalf("trial %d, %v: scaled (slack %v, cost %d) vs unit (slack %v, cost %d)",
+					trial, obj, got.Slack, got.Cost, want.Slack, want.Cost)
+			}
+			if len(got.Buffers) != len(want.Buffers) {
+				t.Fatalf("trial %d, %v: %d vs %d buffers", trial, obj, len(got.Buffers), len(want.Buffers))
+			}
+			for id, b := range want.Buffers {
+				if got.Buffers[id].Name != b.Name {
+					t.Fatalf("trial %d, %v: node %d has %q scaled vs %q unit", trial, obj, id, got.Buffers[id].Name, b.Name)
+				}
+			}
+		}
+	}
+}

@@ -510,3 +510,30 @@ func TestCacheSoakUnderChaos(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestZeroBufferCapEnvelope: "k": 0 is an explicit cap that admits no
+// buffer, not "unbounded" — under a candidate budget too tight for any
+// buffered DP list it answers the unbuffered net, the same answer it gives
+// without the budget.
+func TestZeroBufferCapEnvelope(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	net := mustJSON(t, sampleNet)
+
+	tight := `"options":{"max_cands":1}`
+	resp, body := postNet(t, ts, "/solve", "application/json",
+		`{"v":2,"net":`+net+`,`+tight+`,"problem":{"objective":"max-slack","k":1}}`)
+	if resp.StatusCode == http.StatusOK {
+		t.Fatalf("k=1 fit max_cands=1 (%s); the budget is not tight enough to test the zero cap", body)
+	}
+	zero, _ := solveOK(t, ts, "application/json",
+		`{"v":2,"net":`+net+`,`+tight+`,"problem":{"objective":"max-slack","k":0}}`)
+	if zero.Tier != "exact" || zero.NumBuffers != 0 || len(zero.Buffers) != 0 {
+		t.Fatalf("k=0: tier %s, %d buffers, want an exact unbuffered answer", zero.Tier, zero.NumBuffers)
+	}
+	unbuffered, _ := solveOK(t, ts, "application/json",
+		`{"v":2,"net":`+net+`,"problem":{"objective":"max-slack","k":0}}`)
+	if zero.SlackPS != unbuffered.SlackPS || zero.MaxDelayPS != unbuffered.MaxDelayPS {
+		t.Errorf("k=0 under max_cands=1 (%.3f ps, %.3f ps) differs from the unbudgeted k=0 answer (%.3f ps, %.3f ps)",
+			zero.SlackPS, zero.MaxDelayPS, unbuffered.SlackPS, unbuffered.MaxDelayPS)
+	}
+}

@@ -16,6 +16,9 @@
 #   BENCH      benchmark regex (default: .)
 #   BENCHTIME  -benchtime value (default: 1x — one timed iteration per
 #              benchmark; raise to e.g. 2s for publication-grade numbers)
+#   COUNT      -count value (default: 5). The text keeps every run for
+#              benchstat; benchjson records the per-name median and the
+#              sample count.
 #   FLEET      set to 1 to also run cmd/loadgen (hash-vs-random routing
 #              arms through an in-process fleet) and merge its report —
 #              router p50/p99, hedge rate, cache-hit rates — into the
@@ -62,18 +65,19 @@ fi
 
 bench="${BENCH:-.}"
 benchtime="${BENCHTIME:-1x}"
+count="${COUNT:-5}"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== go test -bench=$bench -benchtime=$benchtime"
-go test -bench="$bench" -benchmem -benchtime="$benchtime" -run='^$' . | tee "$tmpdir/bench.txt"
+echo "== go test -bench=$bench -benchtime=$benchtime -count=$count"
+go test -bench="$bench" -benchmem -benchtime="$benchtime" -count="$count" -run='^$' . | tee "$tmpdir/bench.txt"
 
 # Span-overhead benchmarks: the enabled/disabled/traced triple from
 # internal/obs, appended to the same text so benchjson derives
 # span_ns_{enabled,disabled,traced} and span_overhead_ns into the record.
 echo "== go test -bench=BenchmarkSpan ./internal/obs"
-go test -bench='^BenchmarkSpan' -benchmem -benchtime="$benchtime" -run='^$' ./internal/obs | tee -a "$tmpdir/bench.txt"
+go test -bench='^BenchmarkSpan' -benchmem -benchtime="$benchtime" -count="$count" -run='^$' ./internal/obs | tee -a "$tmpdir/bench.txt"
 
 echo "== obs counters: buffopt -alg solve on testdata/sample.net"
 go run ./cmd/buffopt -net testdata/sample.net -alg solve -metrics "$tmpdir/metrics.json" >/dev/null
