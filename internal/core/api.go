@@ -29,11 +29,11 @@ type Options struct {
 	Budget *guard.Budget
 	// Engine selects the dynamic-program organization: EngineAuto (the
 	// default, also chosen by ""), EngineVG, or EngineLiShi. Engines
-	// are bit-identical on objective values by construction — the
-	// enginetest suite is the gate — so Engine is excluded from every
-	// cache key: a cached result answers a request from any engine.
-	// Unknown names are rejected with guard.ErrInvalidInput by Optimize
-	// and Solve.
+	// return bit-identical answers, placements included, by
+	// construction — the enginetest suite is the gate — so Engine is
+	// excluded from every cache key: a cached result answers a request
+	// from any engine. Unknown names are rejected with
+	// guard.ErrInvalidInput by Optimize and Solve.
 	Engine string
 
 	// workers bounds the goroutines the bottom-up dynamic program may use

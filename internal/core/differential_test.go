@@ -36,7 +36,14 @@ const diffCorpusSize = 60
 // them, so the DP sees realistic candidate-site densities.
 func diffCorpus(t testing.TB, n int) ([]*rctree.Tree, *buffers.Library, noise.Params) {
 	t.Helper()
-	suite, err := netgen.Generate(netgen.Config{Seed: 7, NumNets: n})
+	return seededCorpus(t, 7, n)
+}
+
+// seededCorpus builds n netgen nets from seed, segmented the way
+// diffCorpus's are.
+func seededCorpus(t testing.TB, seed int64, n int) ([]*rctree.Tree, *buffers.Library, noise.Params) {
+	t.Helper()
+	suite, err := netgen.Generate(netgen.Config{Seed: seed, NumNets: n})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // The dynamic program runs under one of several engines. All engines
-// solve the same problems and are bit-identical on objective values by
-// construction — the engine changes how candidate lists are organized
-// and merged, never which optimum is found. The enginetest suite
+// solve the same problems and return bit-identical answers by
+// construction — objective values, buffer placement and wire widths; the
+// engine changes how candidate lists are organized and merged, never
+// which optimum is found. The enginetest suite
 // (internal/core/enginetest) is the gate on that contract: every engine
 // registered in EngineTable is differenced against serial VG over the
 // stratified corpus, checked against the exhaustive oracle on small
@@ -25,15 +26,16 @@ const (
 	// arXiv:0710.4691): candidate lists kept in the canonical sorted
 	// order, branch merges computed directly on the per-group Pareto
 	// frontiers by a two-pointer walk — O(L1+L2) instead of the O(L1·L2)
-	// cross product — cutting the DP to O(bn²). The sorted-frontier
-	// argument is a statement about the delay DP; noise-constrained and
-	// safe-pruning runs fall back to the classic merge node by node (see
-	// lishi.go), so the engine is bit-identical to VG in every
-	// configuration.
+	// cross product — cutting the DP to O(bn²). Noise runs stream buffer
+	// insertion over every merge pair without materializing them and keep
+	// the walk's list; safe-pruning runs use the classic merge. The few
+	// nodes where the walk's exactness cannot be shown (see lishi.go) fall
+	// back to the classic step, so the engine is bit-identical to VG in
+	// every configuration.
 	EngineLiShi = "lishi"
-	// EngineAuto picks per run: Li–Shi when the configuration can use the
-	// fast merge and the library has more than one type (where the b²→b
-	// reduction pays), classic VG otherwise.
+	// EngineAuto picks per run: Li–Shi unless safe pruning is on or the
+	// library has a single type (where the b²→b reduction buys nothing),
+	// classic VG otherwise.
 	EngineAuto = "auto"
 )
 
@@ -61,8 +63,8 @@ func ParseEngine(s string) (string, error) {
 type EngineSpec struct {
 	// Name identifies the engine in test output and telemetry.
 	Name string
-	// Exact engines must produce bit-identical objective values (slack
-	// bits, cost) to serial VG on every problem, and must match the
+	// Exact engines must produce serial VG's answer bit for bit (slack
+	// bits, cost, placement, widths) on every problem, and must match the
 	// exhaustive oracle on small nets. Heuristic engines (greedy) are
 	// held only to validity and never-better-than-exact.
 	Exact bool

@@ -10,8 +10,9 @@ import (
 // plus one profile from the round-robin ring, so the count-indexed,
 // noise, safe-pruning, sizing, and min-buffer fallback paths are all
 // differenced on every stratum. Exact engines must match the baseline's
-// objective values bit for bit and carry independently re-verified
-// placements; heuristics must be valid and never better.
+// whole answer — objective values bit for bit, buffer placement and wire
+// widths — and carry independently re-verified placements; heuristics
+// must be valid and never better.
 //
 // Short mode trims each stratum and runs the delay + round-robin pair on
 // the trimmed prefix — still all four strata, so the quick gate keeps the

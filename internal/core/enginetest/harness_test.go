@@ -1,9 +1,10 @@
 // Package enginetest gates the engine registry: every engine in
 // core.EngineTable is held to its contract class on a shared corpus.
 // Exact engines (the classic DP, Li–Shi, their parallel variants, and
-// auto) must produce bit-identical objective values — slack compared as
-// raw float bits, cost exactly — to serial VG on every problem, plus
-// independently re-verified placements; heuristic engines are held to
+// auto) must produce serial VG's whole answer on every problem — slack
+// compared as raw float bits, cost exactly, the same buffers at the same
+// nodes and the same wire widths — plus independently re-verified
+// placements; heuristic engines are held to
 // validity and never-better-than-exact. The suite is what makes the
 // "engines are interchangeable, cache keys exclude Engine" contract in
 // core.Options safe to rely on.
@@ -169,6 +170,34 @@ func sameObjective(base, got *core.Result) error {
 	return nil
 }
 
+// sameAnswer asserts that an engine returns the serial-VG baseline's
+// whole answer: the objective values bit for bit (sameObjective), the
+// buffer placement — the same buffer name at the same node — and the
+// chosen wire widths. Node IDs are only comparable on one tree, so
+// transformed-problem comparisons keep to sameObjective.
+func sameAnswer(base, got *core.Result) error {
+	if err := sameObjective(base, got); err != nil {
+		return err
+	}
+	if len(got.Buffers) != len(base.Buffers) {
+		return fmt.Errorf("%d buffers vs baseline %d", len(got.Buffers), len(base.Buffers))
+	}
+	for v, b := range base.Buffers {
+		if g, ok := got.Buffers[v]; !ok || g.Name != b.Name {
+			return fmt.Errorf("node %d holds buffer %q, baseline %q", v, g.Name, b.Name)
+		}
+	}
+	if len(got.Widths) != len(base.Widths) {
+		return fmt.Errorf("%d sized wires vs baseline %d", len(got.Widths), len(base.Widths))
+	}
+	for v, w := range base.Widths {
+		if g, ok := got.Widths[v]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("wire %d width %g, baseline %g", v, g, w)
+		}
+	}
+	return nil
+}
+
 // runEngines runs one problem under every registered engine and applies
 // the per-class assertions against the serial-VG baseline (row 0 of the
 // table). Failure classes must agree too: if the baseline cannot solve
@@ -209,7 +238,7 @@ func runEngines(t *testing.T, prob core.Problem, pr profile, p noise.Params) {
 		if err != nil {
 			continue
 		}
-		if cmpErr := sameObjective(base, res); cmpErr != nil {
+		if cmpErr := sameAnswer(base, res); cmpErr != nil {
 			t.Fatalf("engine %s: %v", spec.Name, cmpErr)
 		}
 		checkValid(t, res, pr, p)

@@ -17,7 +17,7 @@ import (
 // cross-engine agreement proves the engines compute the same thing, not
 // that the thing is the optimum. On nets small enough to enumerate every
 // buffer assignment, every exact engine in the table is checked against
-// brute force — for the unconstrained, noise-constrained, and min-weight
+// brute force (and against serial VG's whole answer) — for the unconstrained, noise-constrained, and min-weight
 // objectives, over single- and multi-type libraries (inverters included,
 // so polarity bookkeeping faces the oracle too).
 
@@ -80,6 +80,7 @@ func TestEnginesMatchExhaustiveOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				prob := core.Problem{Tree: tr, Library: lib, Params: p, Objective: objective}
+				var base *core.Result // serial VG's answer, table row 0
 				for _, spec := range table {
 					if !spec.Exact {
 						continue
@@ -100,6 +101,11 @@ func TestEnginesMatchExhaustiveOracle(t *testing.T) {
 						t.Fatalf("trial %d lib %d %v: engine %s slack %g, oracle %g",
 							trial, li, objective, spec.Name, res.Slack, want)
 					}
+					if base == nil {
+						base = res
+					} else if err := sameAnswer(base, res); err != nil {
+						t.Fatalf("trial %d lib %d %v: engine %s: %v", trial, li, objective, spec.Name, err)
+					}
 				}
 			}
 			// Min-weight: the oracle minimizes the clean count with no
@@ -116,6 +122,7 @@ func TestEnginesMatchExhaustiveOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			prob := core.Problem{Tree: slow, Library: lib, Params: p, Objective: core.MinBuffersNoise}
+			var base *core.Result
 			for _, spec := range table {
 				if !spec.Exact {
 					continue
@@ -131,6 +138,11 @@ func TestEnginesMatchExhaustiveOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d lib %d minbuf: engine %s failed, oracle count %d: %v",
 						trial, li, spec.Name, bestCount, err)
+				}
+				if base == nil {
+					base = res
+				} else if err := sameAnswer(base, res); err != nil {
+					t.Fatalf("trial %d lib %d minbuf: engine %s: %v", trial, li, spec.Name, err)
 				}
 				// The oracle's enumeration ignores polarity (a buffer
 				// assignment only fixing noise), while the DP's min-weight

@@ -134,7 +134,7 @@ type SolveResult struct {
 	// concurrent identical request's solve instead of running its own.
 	Coalesced bool
 
-	// residentTree holds the solution tree in its rctree binary encoding
+	// residentTree holds the solution tree in its rctree compact encoding
 	// while the result is resident in a SolveCache (Solution.Tree is nil
 	// then); Clone decodes it. Nil on every result a caller receives.
 	residentTree []byte

@@ -3,6 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,5 +264,55 @@ func TestBudgetTreeNodeCap(t *testing.T) {
 		Tree: tr, Library: singleBufferLib(), Params: unitParams, Objective: MaxSlackNoise,
 	}, Options{Budget: b}); !errors.Is(err, guard.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestSolveBudgetParity pins the Li–Shi engine's candidate-budget ledger
+// to the classic DP's. Noise runs never build the cross product under
+// Li–Shi, yet they must check the budget on the same pairs with the same
+// counts, so on the seed-1 40-net suite under tight candidate caps the
+// degradation ladder has to trip identically: same tier, same answer,
+// and the same TierError text (elapsed time aside) and Usage at every
+// failed rung. Serial walks only — a parallel walk's usage peak depends
+// on the schedule.
+func TestSolveBudgetParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves the 40-net suite six times")
+	}
+	nets, lib, p := seededCorpus(t, 1, 40)
+	elapsed := regexp.MustCompile(`after [^;]*;`)
+	solve := func(tr *rctree.Tree, engine string, maxCands int) string {
+		b := guard.New(context.Background())
+		b.MaxCandidates = maxCands
+		res, err := Solve(context.Background(), tr, lib, p, Options{Engine: engine, Budget: b, workers: 1})
+		if err != nil {
+			return "error: " + elapsed.ReplaceAllString(err.Error(), "")
+		}
+		s := fmt.Sprintf("%v slack %016x cost %d", res.Tier, math.Float64bits(res.Slack), res.Cost)
+		var placed []string
+		for v, b := range res.Buffers {
+			placed = append(placed, fmt.Sprintf("%d:%s", v, b.Name))
+		}
+		slices.Sort(placed)
+		s += " " + strings.Join(placed, " ")
+		for _, te := range res.TierErrors {
+			s += fmt.Sprintf("\n%v: %v %+v", te.Tier, te.Err, te.Usage)
+		}
+		return s
+	}
+	degraded := 0
+	for _, maxCands := range []int{150, 300} {
+		for i, tr := range nets {
+			want := solve(tr, EngineVG, maxCands)
+			if got := solve(tr, EngineLiShi, maxCands); got != want {
+				t.Fatalf("net %d, cap %d:\nlishi: %s\nvg:    %s", i, maxCands, got, want)
+			}
+			if strings.Contains(want, "\n") {
+				degraded++
+			}
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no solve degraded; the caps do not exercise the budget")
 	}
 }

@@ -27,7 +27,7 @@ type SolveCache = cache.Cache[*SolveResult]
 // NewSolveCache builds a cache for SolveResults bounded by entries and
 // bytes (0 disables the respective bound), reporting its counters under
 // "<namespace>.cache.*" in the obs registry. Resident results keep their
-// solution tree in its binary encoding (packSolveResult); every read
+// solution tree in its compact encoding (packSolveResult); every read
 // decodes a fresh deep copy, so callers may freely mutate what they get
 // back.
 func NewSolveCache(entries int, bytes int64, namespace string) *SolveCache {
@@ -46,13 +46,13 @@ func NewSolveCache(entries int, bytes int64, namespace string) *SolveCache {
 var packBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // packSolveResult is the SolveCache's resident form of r: a private copy
-// whose solution tree is held as rctree.AppendBinary bytes instead of a
-// *Tree. The encoding is the snapshot codec's, bit-exact, so the tree
-// Clone decodes for a reader is the one the solver returned; the bytes
-// are a fraction of the tree's heap and pointer-free, so a warm cache of
-// thousands of results costs the garbage collector nothing to scan. A
-// tree that does not validate — which DecodeBinary would refuse — stays
-// a plain clone.
+// whose solution tree is held as rctree.AppendCompact bytes instead of a
+// *Tree. The encoding is bit-exact, so the tree Clone decodes for a
+// reader is the one the solver returned; the bytes are a fraction of the
+// tree's heap — a little over half the snapshot codec's for a segmented
+// net — and pointer-free, so a warm cache of thousands of results costs
+// the garbage collector nothing to scan. A tree that does not validate —
+// which DecodeCompact would refuse — stays a plain clone.
 func packSolveResult(r *SolveResult) *SolveResult {
 	if r == nil || r.Result == nil || r.Solution == nil || r.Solution.Tree == nil ||
 		r.Solution.Tree.Validate() != nil {
@@ -66,7 +66,7 @@ func packSolveResult(r *SolveResult) *SolveResult {
 	shallow.Result = &res
 	p := shallow.Clone()
 	bp := packBufs.Get().(*[]byte)
-	*bp = r.Solution.Tree.AppendBinary((*bp)[:0])
+	*bp = r.Solution.Tree.AppendCompact((*bp)[:0])
 	p.residentTree = slices.Clone(*bp)
 	packBufs.Put(bp)
 	return p
@@ -114,7 +114,7 @@ func (r *SolveResult) Clone() *SolveResult {
 		c.Result = r.Result.Clone()
 	}
 	if r.residentTree != nil {
-		tree, err := rctree.DecodeBinary(r.residentTree)
+		tree, err := rctree.DecodeCompact(r.residentTree)
 		if err != nil {
 			// packSolveResult only encodes trees that validate, so the
 			// bytes always decode; failing here means memory corruption.

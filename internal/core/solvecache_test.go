@@ -303,7 +303,7 @@ func TestSolveCacheEvictionBounds(t *testing.T) {
 }
 
 // TestSolveCacheResidentForm: a resident result keeps its solution tree
-// only as rctree binary bytes — nil Solution.Tree, Size counted from the
+// only as rctree compact bytes — nil Solution.Tree, Size counted from the
 // encoding — and every way a result leaves the cache (a hit, a coalesced
 // waiter, Peek, Entries, a snapshot save and load) decodes a tree whose
 // encoding equals the filled result's. Mutating a returned result never
@@ -331,18 +331,19 @@ func TestSolveCacheResidentForm(t *testing.T) {
 		}
 	}
 
+	resident := filled.Solution.Tree.AppendCompact(nil)
 	packed := packSolveResult(filled)
-	if packed.Solution.Tree != nil || !bytes.Equal(packed.residentTree, want) {
-		t.Fatal("packed result does not hold its tree as the binary encoding")
+	if packed.Solution.Tree != nil || !bytes.Equal(packed.residentTree, resident) {
+		t.Fatal("packed result does not hold its tree as the compact encoding")
 	}
 	if filled.Solution.Tree == nil || filled.residentTree != nil {
 		t.Fatal("packing modified its argument")
 	}
 	treeless := *packed
 	treeless.residentTree = nil
-	if solveResultSize(packed) != solveResultSize(&treeless)+int64(len(want)) {
+	if solveResultSize(packed) != solveResultSize(&treeless)+int64(len(resident)) {
 		t.Fatalf("packed size %d is not the treeless size %d plus %d encoded bytes",
-			solveResultSize(packed), solveResultSize(&treeless), len(want))
+			solveResultSize(packed), solveResultSize(&treeless), len(resident))
 	}
 
 	// A leader blocked in its fill, and a waiter coalesced onto it.

@@ -29,11 +29,19 @@ type vgStats struct {
 	merged    int64 // candidates emitted by branch merges
 	nodes     int64 // tree nodes visited
 	highwater int64 // longest candidate list observed at any node
+	fallbacks int64 // Li–Shi branch nodes that fell back to the cross product
 }
 
 func (s *vgStats) list(n int) {
 	if int64(n) > s.highwater {
 		s.highwater = int64(n)
+	}
+}
+
+// fellBack counts one Li–Shi branch node that ran the classic path.
+func (s *vgStats) fellBack() {
+	if s != nil {
+		s.fallbacks++
 	}
 }
 
@@ -43,6 +51,7 @@ func (s *vgStats) absorb(o *vgStats) {
 	s.pruned += o.pruned
 	s.merged += o.merged
 	s.nodes += o.nodes
+	s.fallbacks += o.fallbacks
 	if o.highwater > s.highwater {
 		s.highwater = o.highwater
 	}
@@ -53,6 +62,9 @@ func (s *vgStats) flush() {
 	obs.Add("vg.candidates.pruned", s.pruned)
 	obs.Add("vg.candidates.merged", s.merged)
 	obs.Add("vg.nodes.visited", s.nodes)
+	if s.fallbacks > 0 {
+		obs.Add("vg.lishi.fallbacks", s.fallbacks)
+	}
 	obs.SetMax("vg.list.highwater", s.highwater)
 }
 
@@ -156,16 +168,15 @@ type vgOptions struct {
 }
 
 // fastMergeOK reports whether computeNode may use the Li–Shi sorted
-// frontier merge at a branch node. The Li–Shi argument is about the
-// 2-D (C, q) dominance of the delay DP: with noise constraints the
-// node's buffer-insertion step must see merge candidates the 2-D
-// frontier discards (a dominated candidate can be the only
-// noise-feasible driver for some buffer type), and with safe pruning the
-// frontier itself is 4-D — in both configurations the fast merge would
-// change results, so those runs use the classic cross product node by
-// node and stay bit-identical that way.
+// frontier walk at a branch node. The Li–Shi argument is about the 2-D
+// (C, q) dominance that pruneVG applies. Noise runs use it too, through
+// lishiNoiseMerge: their buffer insertion still sees every merge pair
+// (streamed, never materialized), only the node's list comes from the
+// walk. Safe pruning keeps a 4-D frontier the walk would cut, so those
+// runs use the classic cross product node by node and stay bit-identical
+// that way.
 func (o vgOptions) fastMergeOK() bool {
-	return o.engine == EngineLiShi && !o.noise && !o.safePruning
+	return o.engine == EngineLiShi && !o.safePruning
 }
 
 // minParallelNodes gates automatic parallelism: below this tree size the
@@ -264,7 +275,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	ar := &candArena{}
 	opts.arena = ar
 	defer ar.flush()
-	opts.ins = &insertTable{}
+	opts.ins = getInsertTable()
 
 	lists := make([][]vgCand, t.Len())
 	var err error
@@ -295,6 +306,7 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 		releaseLists(ar, lists)
 		return nil, err
 	}
+	opts.ins.release()
 
 	// Add the driver (Steps 2–3 of Fig. 10) and filter. The survivors are
 	// copied into a plain slice — never pool-backed — because they escape
@@ -397,6 +409,10 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 		return err
 	}
 	node := t.Node(v)
+	bufferHere := node.BufferOK && v != t.Root()
+	// Steps 5 and 7 (insertion and pruning) may already be done by the
+	// branch merge or the chain node's fused insertion.
+	inserted, pruned := false, false
 	var list []vgCand
 	switch {
 	case node.Kind == rctree.Sink:
@@ -417,10 +433,14 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 		l, r := node.Children[0], node.Children[1]
 		var merged []vgCand
 		var err error
-		if opts.fastMergeOK() {
-			merged, err = lishiMerge(lists[l], lists[r], opts)
-		} else {
+		switch {
+		case !opts.fastMergeOK():
 			merged, err = mergeVG(lists[l], lists[r], opts)
+		case opts.noise:
+			merged, pruned, err = lishiNoiseMerge(v, lists[l], lists[r], lib, opts, bufferHere)
+			inserted = true
+		default:
+			merged, err = lishiMerge(lists[l], lists[r], opts)
 		}
 		ar.put(lists[l])
 		ar.put(lists[r])
@@ -434,15 +454,23 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 		return fmt.Errorf("core: internal node %d has no children", v)
 	}
 
-	// Step 5: consider inserting each buffer type at v.
-	if node.BufferOK && v != t.Root() {
+	// Step 5: consider inserting each buffer type at v. A chain node's
+	// list is its child's, still in prune order, so the winners are
+	// merged into it (and pruned) rather than the whole list sorted again.
+	switch {
+	case !bufferHere || inserted:
+	case len(node.Children) == 1:
+		list, pruned = insertPrune(v, list, lib, opts)
+	default:
 		list = insertBuffers(v, list, lib, opts)
 	}
 
-	list, err := pruneVG(list, opts)
-	if err != nil {
-		ar.put(list)
-		return err
+	var err error
+	if !pruned {
+		if list, err = pruneVG(list, opts); err != nil {
+			ar.put(list)
+			return err
+		}
 	}
 	if err := opts.budget.CheckCandidates(len(list)); err != nil {
 		ar.put(list)
@@ -512,156 +540,6 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 // oneWidth is the default (no sizing) width set.
 var oneWidth = []float64{1}
 
-// insertBuffers appends buffered candidates at node v to list: for each
-// buffer type (and, in count-indexed mode, each resulting buffer count and
-// each parity) the candidate producing the largest post-buffer slack,
-// subject to the noise constraint R_b·I(v) ≤ NS(v) when noise is enforced
-// — the boldface modification of Fig. 11, Step 5. The appended candidates
-// are emitted in a deterministic total order — (cost, load, q, buffer
-// index, parity) — so repeated runs and parallel schedules see
-// byte-identical lists.
-//
-// The bests live in a dense table indexed by (buffer, parity, cost) whose
-// slots hold only the best slack and the index of its source candidate;
-// a winner's candidate and solution link are built after the scan, so the
-// scan itself allocates nothing.
-func insertBuffers(v rctree.NodeID, list []vgCand, lib *buffers.Library, opts vgOptions) []vgCand {
-	tab := opts.ins
-	span := tab.costAxis(list, opts.countIndexed)
-	if need := len(lib.Buffers) * 2 * span; len(tab.slots) < need {
-		tab.slots = make([]insertSlot, need)
-	}
-	for bi := range lib.Buffers {
-		b := &lib.Buffers[bi]
-		w := b.Cost()
-		inv := uint8(0)
-		if b.Inverting {
-			inv = 1
-		}
-		for i := range list {
-			c := &list[i]
-			if opts.noise && b.R*c.down > c.ns {
-				continue // inserting here would violate downstream noise
-			}
-			if opts.countIndexed && c.cost+w > opts.maxBuffers {
-				continue
-			}
-			q := c.q - b.Delay(c.load)
-			k := (2*bi+int(c.pol^inv))*span + int(tab.costIdx[i])
-			s := &tab.slots[k]
-			if s.src == 0 {
-				tab.touched = append(tab.touched, k)
-			} else if !(q > s.q) {
-				// Acceptance is value-canonical: on an exact slack tie
-				// the cheaper (then smaller) solution wins, never the one
-				// that happened to be scanned first. The classic and
-				// Li–Shi merges emit candidates in different orders, so a
-				// first-wins rule would make the selected cost/nbuf depend
-				// on the engine.
-				cur := &list[s.src-1]
-				if q != s.q || !(c.cost < cur.cost || (c.cost == cur.cost && c.nbuf < cur.nbuf)) {
-					continue
-				}
-			}
-			s.q, s.src = q, int32(i+1)
-		}
-	}
-	if len(tab.touched) == 0 {
-		return list
-	}
-	n := len(list)
-	list = slices.Grow(list, len(tab.touched))
-	for _, k := range tab.touched {
-		s := &tab.slots[k]
-		bi := k / (2 * span)
-		b := &lib.Buffers[bi]
-		src := &list[s.src-1]
-		list = append(list, vgCand{
-			load: b.Cin,
-			q:    s.q,
-			down: 0,
-			ns:   b.NoiseMargin,
-			nbuf: src.nbuf + 1,
-			cost: src.cost + b.Cost(),
-			pol:  uint8(k/span) & 1,
-			sol:  &solLink{node: v, buf: int32(bi), prev: [2]*solLink{src.sol, nil}},
-		})
-		*s = insertSlot{}
-	}
-	if opts.stats != nil {
-		opts.stats.generated += int64(len(tab.touched))
-	}
-	tab.touched = tab.touched[:0]
-	slices.SortFunc(list[n:], func(a, b vgCand) int {
-		switch {
-		case a.cost != b.cost:
-			return cmp.Compare(a.cost, b.cost)
-		case a.load != b.load:
-			return cmpAsc(a.load, b.load)
-		case a.q != b.q:
-			return cmpDesc(a.q, b.q)
-		case a.sol.buf != b.sol.buf:
-			return cmp.Compare(a.sol.buf, b.sol.buf)
-		}
-		return cmp.Compare(a.pol, b.pol)
-	})
-	return list
-}
-
-// insertTable is insertBuffers' reusable scratch. slots is the dense
-// (buffer, parity, cost) table — all zero between calls — and touched
-// lists the slots one call filled, so emission and reset cost the winners,
-// not the table. costIdx holds each list candidate's position on the
-// cost axis.
-type insertTable struct {
-	slots   []insertSlot
-	touched []int
-	costIdx []int32
-	costs   []int
-}
-
-// insertSlot is one (buffer, parity, cost) best: the post-buffer slack
-// and the 1-based index of its source candidate (0 = empty slot).
-type insertSlot struct {
-	q   float64
-	src int32
-}
-
-// costAxis fills costIdx for list and returns the cost axis length. A
-// buffer adds the same weight to every source, so the axis indexes source
-// costs: the span from the list's cheapest to its dearest candidate, or,
-// when that span is much longer than the list (large buffer weights), the
-// rank among the list's distinct costs. Without count indexing every
-// candidate shares one cost slot.
-func (t *insertTable) costAxis(list []vgCand, countIndexed bool) int {
-	t.costIdx = slices.Grow(t.costIdx[:0], len(list))[:len(list)]
-	if !countIndexed || len(list) == 0 {
-		clear(t.costIdx)
-		return 1
-	}
-	lo, hi := list[0].cost, list[0].cost
-	for i := range list {
-		lo, hi = min(lo, list[i].cost), max(hi, list[i].cost)
-	}
-	if span := hi - lo + 1; span <= 4*len(list) {
-		for i := range list {
-			t.costIdx[i] = int32(list[i].cost - lo)
-		}
-		return span
-	}
-	t.costs = t.costs[:0]
-	for i := range list {
-		t.costs = append(t.costs, list[i].cost)
-	}
-	slices.Sort(t.costs)
-	t.costs = slices.Compact(t.costs)
-	for i := range list {
-		r, _ := slices.BinarySearch(t.costs, list[i].cost)
-		t.costIdx[i] = int32(r)
-	}
-	return len(t.costs)
-}
-
 // mergeVG combines the candidate lists of two sibling branches: loads and
 // currents add, slacks take the minimum (Steps 3–4 of Fig. 11). Only
 // parity-compatible pairs merge. The pruned per-branch frontiers are small,
@@ -676,7 +554,7 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 		for _, b := range right {
 			// Budget gate at stride boundaries: candidate cap and context
 			// together, so the common case costs two integer ops.
-			if tick++; tick >= 4096 {
+			if tick++; tick >= budgetStride {
 				tick = 0
 				if err := opts.budget.CheckCandidates(len(out)); err != nil {
 					return out, err
@@ -708,24 +586,31 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 // frontier walk), so engines cannot drift in arithmetic or in solution
 // linking.
 func mergedCand(a, b vgCand) vgCand {
-	var sol *solLink
+	c := pairValues(&a, &b)
 	switch {
 	case a.sol == nil:
-		sol = b.sol
+		c.sol = b.sol
 	case b.sol == nil:
-		sol = a.sol
+		c.sol = a.sol
 	default:
 		// Junction link: reuse a's head with both prevs via a
 		// synthetic link carrying a's head assignment would double
 		// count; instead create a link that repeats a's head
 		// assignment — maps deduplicate identical (node, buf)
 		// pairs, so repeating is safe and keeps links binary.
-		sol = &solLink{
+		c.sol = &solLink{
 			node: a.sol.node, buf: a.sol.buf,
 			width: a.sol.width, isWidth: a.sol.isWidth,
 			prev: [2]*solLink{a.sol, b.sol},
 		}
 	}
+	return c
+}
+
+// pairValues is mergedCand without the solution link: the values the
+// streamed insertion and the walk compute for a pair before deciding
+// whether it is worth building.
+func pairValues(a, b *vgCand) vgCand {
 	return vgCand{
 		load: a.load + b.load,
 		q:    math.Min(a.q, b.q),
@@ -734,7 +619,6 @@ func mergedCand(a, b vgCand) vgCand {
 		nbuf: a.nbuf + b.nbuf,
 		cost: a.cost + b.cost,
 		pol:  a.pol,
-		sol:  sol,
 	}
 }
 
@@ -751,19 +635,15 @@ func mergedCand(a, b vgCand) vgCand {
 // descending, then the remaining fields as tiebreakers — and survivors are
 // compacted into the front of the same backing array. No maps, no
 // per-group slices, no allocation; the returned slice aliases the input.
+// The sort is skipped when the list's order is already certain (see
+// certainOrder), as it usually is at the root and at chain nodes
+// without a buffer site.
 func pruneVG(list []vgCand, opts vgOptions) ([]vgCand, error) {
 	if len(list) <= 1 {
 		return list, nil
 	}
-	if opts.countIndexed {
-		slices.SortFunc(list, func(a, b vgCand) int {
-			if a.cost != b.cost {
-				return cmp.Compare(a.cost, b.cost)
-			}
-			return pruneOrder(&a, &b)
-		})
-	} else {
-		slices.SortFunc(list, func(a, b vgCand) int { return pruneOrder(&a, &b) })
+	if !certainOrder(list, opts.countIndexed) {
+		slices.SortFunc(list, func(a, b vgCand) int { return pruneCmp(&a, &b, opts.countIndexed) })
 	}
 
 	sameGroup := func(a, b *vgCand) bool {
@@ -837,4 +717,27 @@ func pruneOrder(a, b *vgCand) int {
 		return cmp.Compare(a.cost, b.cost)
 	}
 	return cmp.Compare(a.nbuf, b.nbuf)
+}
+
+// pruneCmp is pruneVG's sort order: the buffer count first when lists are
+// count-indexed, then pruneOrder.
+func pruneCmp(a, b *vgCand, countIndexed bool) int {
+	if countIndexed && a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	return pruneOrder(a, b)
+}
+
+// certainOrder reports whether list ascends strictly in pruneVG's order.
+// Then every correct sort — pdqsort too — returns it unchanged, so
+// skipping the sort cannot change a result. Equal neighbours are left to
+// the sort: its permutation of two equal candidates with different links
+// decides which link survives.
+func certainOrder(list []vgCand, countIndexed bool) bool {
+	for k := 1; k < len(list); k++ {
+		if pruneCmp(&list[k-1], &list[k], countIndexed) >= 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -117,11 +117,13 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 	// run's totals after Wait, when no worker touches them anymore. Each
 	// worker also owns its insertion table.
 	workerStats := make([]vgStats, workers)
+	tables := make([]*insertTable, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		wopts := opts
 		wopts.stats = &workerStats[w]
-		wopts.ins = &insertTable{}
+		tables[w] = getInsertTable()
+		wopts.ins = tables[w]
 		go func() {
 			defer wg.Done()
 			// Panic isolation: a crash on a pool goroutine would kill the
@@ -136,6 +138,9 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 
 	for w := range workerStats {
 		opts.stats.absorb(&workerStats[w])
+		if runErr == nil {
+			tables[w].release()
+		}
 	}
 	return runErr
 }

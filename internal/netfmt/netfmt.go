@@ -134,7 +134,10 @@ func Read(r io.Reader) (*rctree.Tree, error) {
 func ReadLimited(r io.Reader, lim Limits) (*rctree.Tree, error) {
 	lim = lim.withDefaults()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	// No preallocated buffer: the scanner starts small and grows to the
+	// longest line, which for a net is a few hundred bytes — a fixed 64 KiB
+	// buffer was a third of a small request's allocation.
+	sc.Buffer(nil, 4*1024*1024)
 
 	var t *rctree.Tree
 	var driverR, driverT float64

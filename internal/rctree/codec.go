@@ -120,32 +120,41 @@ func DecodeBinary(data []byte) (*Tree, error) {
 		}
 		t.nodes = append(t.nodes, n)
 	}
+	if err := t.checkDecoded(d); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// checkDecoded is the decoders' shared tail: the input must be consumed
+// exactly, every reference in range, and the tree valid.
+func (t *Tree) checkDecoded(d *decoder) error {
 	if d.err != nil {
-		return nil, fmt.Errorf("rctree: decode: %w", d.err)
+		return fmt.Errorf("rctree: decode: %w", d.err)
 	}
 	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("rctree: decode: %d trailing bytes", len(d.buf))
+		return fmt.Errorf("rctree: decode: %d trailing bytes", len(d.buf))
 	}
 	// Range-check references before Validate walks them.
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if i == 0 {
 			if n.Parent != None {
-				return nil, fmt.Errorf("rctree: decode: source has parent %d", n.Parent)
+				return fmt.Errorf("rctree: decode: source has parent %d", n.Parent)
 			}
 		} else if !t.valid(n.Parent) {
-			return nil, fmt.Errorf("rctree: decode: node %d parent %d out of range", i, n.Parent)
+			return fmt.Errorf("rctree: decode: node %d parent %d out of range", i, n.Parent)
 		}
 		for _, c := range n.Children {
 			if !t.valid(c) {
-				return nil, fmt.Errorf("rctree: decode: node %d child %d out of range", i, c)
+				return fmt.Errorf("rctree: decode: node %d child %d out of range", i, c)
 			}
 		}
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("rctree: decode: %w", err)
+		return fmt.Errorf("rctree: decode: %w", err)
 	}
-	return t, nil
+	return nil
 }
 
 func appendString(buf []byte, s string) []byte {
