@@ -595,7 +595,7 @@ func BenchmarkAblationSegmentation(b *testing.B) {
 // deltaBenchNet builds the ECO benchmark workload: a deterministic
 // complete binary tree of ~500 nodes (the ISSUE's acceptance scale) with
 // every internal node a legal buffer site.
-func deltaBenchNet(b *testing.B) *rctree.Tree {
+func deltaBenchNet(b testing.TB) *rctree.Tree {
 	b.Helper()
 	tr := rctree.New("eco-bench", 120, 30e-12)
 	wire := func(i int) rctree.Wire {
@@ -639,12 +639,18 @@ func deltaBenchNet(b *testing.B) *rctree.Tree {
 
 // BenchmarkDeltaResolve prices the incremental (ECO) re-solve engine
 // against the full dynamic program it replaces: "full" re-runs Optimize
-// from scratch after a single-leaf cap change; "delta" pushes the same
-// change through a Session, re-solving only the edited sink's ancestor
-// path and replaying every untouched subtree from the memo. The delta
-// row also reports reuse_rate (reused lookups / total lookups), which
-// benchjson lifts into eco_reuse_rate; the full/delta ns ratio becomes
-// eco_speedup. The acceptance floor is 10×.
+// from scratch after a single-leaf cap change; the other arms push the
+// same kind of change through a Session, re-solving only the edited
+// sink's ancestor path and replaying every untouched subtree from the
+// memo. "revisit" cycles the cap through 7 values, so after the first
+// lap every edit replays a memoized root path too — a flattering replay.
+// "fresh" never repeats a value, under the server's default memo caps
+// (8,192 entries, 16 MiB), so the root path is always recomputed and
+// stored while earlier entries age out. Both session arms report
+// reuse_rate (reused lookups / total lookups); benchjson derives
+// eco_speedup (full / fresh ns) and eco_reuse_rate from the fresh arm
+// and records the revisit pair as eco_revisit_*. The acceptance floor
+// is 10×.
 func BenchmarkDeltaResolve(b *testing.B) {
 	tr := deltaBenchNet(b)
 	lib := buffers.DefaultLibrary(0.8)
@@ -668,8 +674,8 @@ func BenchmarkDeltaResolve(b *testing.B) {
 		}
 	})
 
-	b.Run("delta", func(b *testing.B) {
-		s, err := core.NewSession(prob, core.SessionConfig{})
+	session := func(b *testing.B, cfg core.SessionConfig, capOf func(int) float64) {
+		s, err := core.NewSession(prob, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -682,7 +688,7 @@ func BenchmarkDeltaResolve(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res, err := core.Delta(context.Background(), s,
-				[]core.Edit{{Op: core.EditSetCap, Node: sink, Value: capAt(i)}}, core.Options{})
+				[]core.Edit{{Op: core.EditSetCap, Node: sink, Value: capOf(i)}}, core.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -693,5 +699,10 @@ func BenchmarkDeltaResolve(b *testing.B) {
 		if lookups > 0 {
 			b.ReportMetric(float64(reused)/float64(lookups), "reuse_rate")
 		}
+	}
+	b.Run("revisit", func(b *testing.B) { session(b, core.SessionConfig{}, capAt) })
+	b.Run("fresh", func(b *testing.B) {
+		session(b, core.SessionConfig{MemoEntries: 8192, MemoBytes: 16 << 20},
+			func(i int) float64 { return 8e-15 + float64(i)*1e-19 })
 	})
 }

@@ -103,20 +103,24 @@ func TestDeriveEngineSweep(t *testing.T) {
 	}
 }
 
-// TestDeriveEco: the full/delta pair from BenchmarkDeltaResolve reduces
-// to eco_speedup, and the delta row's custom reuse_rate unit rides along
-// as eco_reuse_rate.
+// TestDeriveEco: BenchmarkDeltaResolve's full and fresh rows reduce to
+// eco_speedup, the fresh row's custom reuse_rate unit rides along as
+// eco_reuse_rate, and the revisit row is kept under eco_revisit_*.
 func TestDeriveEco(t *testing.T) {
 	d := deriveEco([]Benchmark{
 		{Name: "BenchmarkDeltaResolve/full-8", NsPerOp: 7_000_000},
-		{Name: "BenchmarkDeltaResolve/delta-8", NsPerOp: 250_000,
+		{Name: "BenchmarkDeltaResolve/revisit-8", NsPerOp: 250_000,
 			Extra: map[string]float64{"reuse_rate": 0.99}},
+		{Name: "BenchmarkDeltaResolve/fresh-8", NsPerOp: 350_000,
+			Extra: map[string]float64{"reuse_rate": 0.98}},
 	})
-	if math.Abs(d["eco_speedup"]-28) > 1e-9 {
-		t.Errorf("eco_speedup = %v, want 28", d["eco_speedup"])
-	}
-	if math.Abs(d["eco_reuse_rate"]-0.99) > 1e-12 {
-		t.Errorf("eco_reuse_rate = %v", d["eco_reuse_rate"])
+	for k, want := range map[string]float64{
+		"eco_speedup": 20, "eco_reuse_rate": 0.98,
+		"eco_revisit_speedup": 28, "eco_revisit_reuse_rate": 0.99,
+	} {
+		if math.Abs(d[k]-want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", k, d[k], want)
+		}
 	}
 	if deriveEco([]Benchmark{{Name: "BenchmarkDeltaResolve/full-8", NsPerOp: 1}}) != nil {
 		t.Error("a lone full row should derive nil")
@@ -125,7 +129,7 @@ func TestDeriveEco(t *testing.T) {
 
 // TestParseLineExtraUnits: custom b.ReportMetric units land in Extra.
 func TestParseLineExtraUnits(t *testing.T) {
-	b, ok := parseLine("BenchmarkDeltaResolve/delta-8   	    5000	    238833 ns/op	         0.9899 reuse_rate")
+	b, ok := parseLine("BenchmarkDeltaResolve/fresh-8   	    5000	    238833 ns/op	         0.9899 reuse_rate")
 	if !ok {
 		t.Fatal("line did not parse")
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"buffopt/internal/buffers"
 	"buffopt/internal/core"
 	"buffopt/internal/elmore"
 	"buffopt/internal/guard"
@@ -17,15 +18,24 @@ import (
 
 // dpAllocBudget caps one MinBuffersNoise solve of BenchmarkBuffOptMinBuffers'
 // net, and noiseAllocBudget one MaxSlackNoise solve of it. The solves
-// measure about 700 and 645 allocations — 1,223 and 2,258 before the
-// streamed noise-mode branch merge, and the first 3,017 before the dense
-// insertion table and index-only solution links. The headroom absorbs
-// the candidate and table pools' misses, e.g. the few dozen more the
-// race detector's sync.Pool drops cause.
+// measure about 123 and 126 allocations: the solution links live in a
+// pooled slab, so what remains is per-solve bookkeeping (lists, tables,
+// the answer's maps and tree). Before the slab they were about 700 and
+// 645, 1,223 and 2,258 before the streamed noise-mode branch merge, and
+// the first 3,017 before the dense insertion table. The headroom absorbs
+// the candidate, table and slab pools' misses, e.g. the few dozen more
+// the race detector's sync.Pool drops cause (about 150 and 157 there).
 const (
-	dpAllocBudget    = 820
-	noiseAllocBudget = 760
+	dpAllocBudget    = 180
+	noiseAllocBudget = 180
 )
+
+// deltaAllocBudget caps one Delta on a warmed session of
+// BenchmarkDeltaResolve's 511-node net after a single set-cap edit whose
+// value the session has never seen, so the edited sink's root path is
+// recomputed and stored: about 940 allocations (950 under -race), most of them the memo's
+// stores (subtree ids, entry copies, keys) and the answer.
+const deltaAllocBudget = 1100
 
 // TestDPAllocBudget pins the DP's allocations per solve on the benchmark
 // net, the way TestSpanAllocBudget pins a span's.
@@ -56,6 +66,36 @@ func TestDPAllocBudget(t *testing.T) {
 		if got > pin.budget {
 			t.Fatalf("%v solve allocates %v per op, budget is %v", pin.objective, got, pin.budget)
 		}
+	}
+}
+
+// TestDeltaAllocBudget pins the session path's allocations per re-solve,
+// the baseline a leaner memo store or load is measured against.
+func TestDeltaAllocBudget(t *testing.T) {
+	old := obs.Default()
+	defer obs.SetDefault(old)
+	obs.SetDefault(obs.NewRegistry())
+	tr := deltaBenchNet(t)
+	prob := core.Problem{Tree: tr, Library: buffers.DefaultLibrary(0.8), Objective: core.MaxSlack}
+	s, err := core.NewSession(prob, core.SessionConfig{MemoEntries: 8192, MemoBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Delta(context.Background(), s, nil, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sink := tr.Sinks()[0]
+	i := 0
+	got := testing.AllocsPerRun(20, func() {
+		i++
+		edit := []core.Edit{{Op: core.EditSetCap, Node: sink, Value: 8e-15 + float64(i)*1e-19}}
+		if _, err = core.Delta(context.Background(), s, edit, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("delta re-solve: %v allocs", got)
+	if got > deltaAllocBudget {
+		t.Fatalf("delta re-solve allocates %v per op, budget is %v", got, deltaAllocBudget)
 	}
 }
 

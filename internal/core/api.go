@@ -93,6 +93,9 @@ func (s *Sizing) Validate() error {
 // first); an unvalidated empty string still resolves to the auto default.
 func (o Options) vgo() vgOptions {
 	v := vgOptions{safePruning: o.SafePruning, budget: o.Budget, workers: o.workers, engine: o.Engine, memo: o.memo}
+	if o.memo != nil {
+		v.slab = o.memo.slab
+	}
 	if v.engine == "" {
 		v.engine = EngineAuto
 	}
@@ -131,8 +134,16 @@ type Result struct {
 // Problem.MaxBuffers turns on the Lillis count-indexed lists capped at k
 // — DelayOpt(k) and BuffOpt(k). MinBuffersNoise deepens the cap itself
 // (see minBuffers). The caller has validated p and opts.
+//
+// A memoized run writes its solution links to the session's slab; any
+// other solve takes a slab from the pool and returns it once finishVG
+// has read the answer out of it.
 func optimize(p Problem, opts Options) (*Result, error) {
 	vo := opts.vgo()
+	if vo.slab == nil {
+		vo.slab = getSlab()
+		defer vo.slab.release()
+	}
 	if p.Objective != MaxSlack {
 		vo.noise = true
 		vo.params = p.Params
@@ -248,9 +259,10 @@ func maxSlack(cands []vgCand, k int) (vgCand, bool) {
 // finishVG materializes a chosen candidate into a Result with a private
 // tree copy, applying any chosen wire widths to the copy's parasitics so
 // the standard analyzers see exactly what the dynamic program computed.
-// lib is the library the run solved with; the solution links index it.
+// lib is the library the run solved with; the solution links, in
+// vo.slab, index it.
 func finishVG(t *rctree.Tree, lib *buffers.Library, c vgCand, vo vgOptions) (*Result, error) {
-	assign, widths := collectSol(c.sol, lib)
+	assign, widths := collectSol(vo.slab, c.sol, lib)
 	work := t.Clone()
 	for v, wd := range widths {
 		node := work.Node(v)

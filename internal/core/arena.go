@@ -30,9 +30,9 @@ type candArena struct {
 	returned atomic.Int64
 }
 
-// candPool holds recycled candidate-list backing arrays. Entries are fully
-// zeroed before Put so pooled arrays cannot retain solLink chains (and the
-// trees hanging off them) across runs.
+// candPool holds recycled candidate-list backing arrays. A candidate holds
+// no pointer (its solution list is a slab index, see slab.go), so a
+// pooled array retains nothing but itself and is never cleared.
 var candPool = sync.Pool{}
 
 // arenaMinCap is the smallest backing array the arena hands out; merges
@@ -59,8 +59,7 @@ func (a *candArena) get(capHint int) []vgCand {
 	return make([]vgCand, 0, capHint)
 }
 
-// put returns a list to the pool. The backing array is zeroed first so no
-// solution links survive into the pool; the counter is bumped even for
+// put returns a list to the pool. The counter is bumped even for
 // zero-capacity slices so the taken/returned invariant is a pure call
 // count, immune to append having swapped the backing array.
 func (a *candArena) put(s []vgCand) {
@@ -70,8 +69,6 @@ func (a *candArena) put(s []vgCand) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:cap(s)]
-	clear(s)
 	sp := new([]vgCand)
 	*sp = s[:0]
 	candPool.Put(sp)

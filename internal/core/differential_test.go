@@ -63,9 +63,9 @@ func seededCorpus(t testing.TB, seed int64, n int) ([]*rctree.Tree, *buffers.Lib
 
 // candsEqual compares two candidate lists bit for bit: every float via
 // math.Float64bits (so -0 vs 0 or differing NaNs cannot hide), every
-// count exactly, and the flattened solution DAGs as assignment maps
-// (buffer indexes resolved against lib).
-func candsEqual(lib *buffers.Library, a, b []vgCand) error {
+// count exactly, and the flattened solution lists — a's in slab sa, b's
+// in sb — as assignment maps (buffer indexes resolved against lib).
+func candsEqual(lib *buffers.Library, sa *solSlab, a []vgCand, sb *solSlab, b []vgCand) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("list lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -80,8 +80,8 @@ func candsEqual(lib *buffers.Library, a, b []vgCand) error {
 		if x.nbuf != y.nbuf || x.cost != y.cost || x.pol != y.pol {
 			return fmt.Errorf("candidate %d counts differ: %+v vs %+v", i, x, y)
 		}
-		ax, wx := collectSol(x.sol, lib)
-		ay, wy := collectSol(y.sol, lib)
+		ax, wx := collectSol(sa, x.sol, lib)
+		ay, wy := collectSol(sb, y.sol, lib)
 		if err := assignEqual(ax, ay); err != nil {
 			return fmt.Errorf("candidate %d solutions differ: %w", i, err)
 		}
@@ -142,22 +142,23 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 	}
 	nets, lib, p := diffCorpus(t, n)
 
-	runOnce := func(tr *rctree.Tree, opts vgOptions, workers int) ([]vgCand, obs.Snapshot) {
+	runOnce := func(tr *rctree.Tree, opts vgOptions, workers int) (*solSlab, []vgCand, obs.Snapshot) {
 		t.Helper()
 		old := obs.Default()
 		obs.SetDefault(obs.NewRegistry())
 		defer obs.SetDefault(old)
 		opts.workers = workers
+		opts.slab = &solSlab{}
 		cands, err := runVG(tr, lib, opts)
 		if err != nil {
 			t.Fatalf("runVG(workers=%d): %v", workers, err)
 		}
-		return cands, obs.Default().Snapshot()
+		return opts.slab, cands, obs.Default().Snapshot()
 	}
 
 	statKeys := []string{
 		"vg.candidates.generated", "vg.candidates.pruned",
-		"vg.candidates.merged", "vg.nodes.visited",
+		"vg.candidates.merged", "vg.nodes.visited", "vg.slab.links",
 	}
 	for pi, prof := range diffProfiles(p) {
 		if profiles == "first-two" && pi >= 2 {
@@ -172,10 +173,10 @@ func TestDifferentialSerialVsParallel(t *testing.T) {
 				profNets = profNets[:12]
 			}
 			for i, tr := range profNets {
-				serial, ssnap := runOnce(tr, prof.opts, 1)
+				sslab, serial, ssnap := runOnce(tr, prof.opts, 1)
 				for _, workers := range []int{2, 4} {
-					par, psnap := runOnce(tr, prof.opts, workers)
-					if err := candsEqual(lib, serial, par); err != nil {
+					pslab, par, psnap := runOnce(tr, prof.opts, workers)
+					if err := candsEqual(lib, sslab, serial, pslab, par); err != nil {
 						t.Fatalf("net %d (%s), workers %d: %v",
 							i, tr.Node(tr.Root()).Name, workers, err)
 					}

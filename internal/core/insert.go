@@ -181,7 +181,7 @@ func (t *insertTable) emit(v rctree.NodeID, list []vgCand, lib *buffers.Library,
 	list = slices.Grow(list, len(t.order))
 	for _, w := range t.order {
 		k := t.touched[w]
-		list = append(list, t.buffered(v, lib, k, &list[t.slots[k].a-1]))
+		list = append(list, t.buffered(v, lib, k, &list[t.slots[k].a-1], opts.sol))
 	}
 	if opts.stats != nil {
 		opts.stats.generated += int64(len(t.touched))
@@ -218,10 +218,11 @@ func (t *insertTable) peek(lib *buffers.Library, k int) vgCand {
 	}
 }
 
-// buffered builds slot k's winner, linked to its source src.
-func (t *insertTable) buffered(v rctree.NodeID, lib *buffers.Library, k int, src *vgCand) vgCand {
+// buffered builds slot k's winner, linked to its source src through a
+// new link written by w.
+func (t *insertTable) buffered(v rctree.NodeID, lib *buffers.Library, k int, src *vgCand, w *slabWriter) vgCand {
 	c := t.peek(lib, k)
-	c.sol = &solLink{node: v, buf: int32(k / (2 * t.span)), prev: [2]*solLink{src.sol, nil}}
+	c.sol = w.add(solLink{node: v, buf: int32(k / (2 * t.span)), prev: [2]solRef{src.sol}})
 	return c
 }
 
@@ -231,7 +232,8 @@ func (t *insertTable) buffered(v rctree.NodeID, lib *buffers.Library, k int, src
 // by cost slot, parity and input capacitance, which is already pruneVG's
 // order whenever buffer weights are equal and no two buffers share an
 // input capacitance, so the sort is usually skipped. Sorting a
-// permutation rather than built candidates moves no pointers.
+// permutation rather than built candidates moves 4-byte indexes, not
+// 56-byte candidates.
 func (t *insertTable) rank(lib *buffers.Library, byPrune, countIndexed bool) {
 	if len(t.touched) == 0 {
 		t.peeks, t.order = t.peeks[:0], t.order[:0]
@@ -324,15 +326,15 @@ func (t *insertTable) mergePrune(out, left, right []vgCand, v rctree.NodeID, lib
 				out = append(out, *e)
 			case fromRun:
 				p := t.walk[ri]
-				out = append(out, mergedCand(left[p[0]], right[p[1]]))
+				out = append(out, mergedCand(left[p[0]], right[p[1]], opts.sol))
 			default:
 				k := t.touched[t.order[j]]
 				s := &t.slots[k]
 				src := left[s.a-1]
 				if right != nil {
-					src = mergedCand(src, right[s.b])
+					src = mergedCand(src, right[s.b], opts.sol)
 				}
-				out = append(out, t.buffered(v, lib, k, &src))
+				out = append(out, t.buffered(v, lib, k, &src, opts.sol))
 			}
 		}
 		prev = e

@@ -66,7 +66,9 @@ import (
 // mergedCand's values without its solution link (pairValues). The
 // node's list is the walk plus the insertion winners, merged into
 // pruneVG's order and pruned in one pass (insertTable.mergePrune), so
-// only survivors are ever built: prune(walk ∪ inserted) keeps exactly
+// only survivors are ever built — and only they write links to the
+// run's slab (a junction per merged pair, a buffer link per winner):
+// prune(walk ∪ inserted) keeps exactly
 // the values prune(cross ∪ inserted) keeps, by the argument above. The
 // budget and the work counters see the cross product the classic merge
 // would have built: CheckCandidates runs at the same 4,096-pair strides
@@ -187,7 +189,7 @@ func lishiMerge(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 		return out, err
 	}
 	for _, p := range tab.walk {
-		out = append(out, mergedCand(left[p[0]], right[p[1]]))
+		out = append(out, mergedCand(left[p[0]], right[p[1]], opts.sol))
 	}
 	if err := opts.budget.CheckCandidates(len(out)); err != nil {
 		return out, err

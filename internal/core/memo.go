@@ -33,13 +33,17 @@ import (
 // O(depth) ancestors of the change — the ROADMAP's "Incremental (ECO)
 // re-solve engine".
 
-// subtreeMemo is one memoized per-subtree candidate list. Entries are
-// immutable once stored (the session cache runs with a nil Clone): the
-// cands slice and the solLink DAG behind it are never written after Put,
-// and loads copy the slice into the run's arena before the DP may mutate
-// it in place. ids records the subtree's preorder node numbering at store
-// time, so a load after a renumbering edit (prune) can relocate the
-// solution DAG instead of discarding the entry.
+// subtreeMemo is one memoized per-subtree candidate list. The cands'
+// solution lists live in the session's slab, so an entry's only pointers
+// are its two slices, whose contents the GC never scans.
+// Entries are immutable to runs (the session cache runs with a nil
+// Clone): loads copy the slice into the run's arena before the DP may
+// mutate it in place, and links in the slab are never rewritten. Only
+// slab compaction, under the session lock with no run in flight,
+// rewrites the refs in cands (Session.settleSlab). ids records the
+// subtree's preorder node numbering at store time, so a load after a
+// renumbering edit (prune) can relocate the solution lists instead of
+// discarding the entry.
 type subtreeMemo struct {
 	ids   []rctree.NodeID
 	cands []vgCand
@@ -50,15 +54,19 @@ type subtreeMemo struct {
 type memoTable = cache.Cache[*subtreeMemo]
 
 // subtreeMemoSize approximates an entry's resident footprint: candidate
-// structs plus an amortized share of the solution DAG behind them, plus
-// the id list. Generous constants — the byte bound is a safety valve.
+// structs plus an amortized share of the solution lists behind them,
+// plus the id list. Generous constants — the byte bound is a safety
+// valve.
 func subtreeMemoSize(e *subtreeMemo) int64 {
 	const (
 		base = 96
-		// perCand overstates a candidate's footprint (a solLink holding
-		// a library index is 40 B); it stays because the memo byte
-		// budget's eviction points are tuned to it.
-		perCand = 160 // vgCand (72 B) + amortized solLink share
+		// perCand overstates a candidate's footprint: a vgCand is 56 B
+		// and a slab link 24 B, shared between the candidates whose
+		// lists have a common tail. It stays because the memo byte
+		// budget's eviction points, and with them the memo's reuse, are
+		// tuned to it. The slab's real size is the "<ns>.slab.bytes"
+		// gauge.
+		perCand = 160
 		perID   = 8
 	)
 	if e == nil {
@@ -79,6 +87,9 @@ type memoRun struct {
 	table  *memoTable
 	hashes []rctree.SubtreeHash
 	suffix string
+	// slab is the session's solution store: the run writes its links
+	// there, and the entries' refs point into it.
+	slab *solSlab
 
 	lookups  atomic.Int64
 	reused   atomic.Int64
@@ -164,7 +175,7 @@ func memoKeySuffix(o vgOptions, lib *buffers.Library) string {
 }
 
 // store memoizes node v's finished candidate list: a private plain copy
-// (never arena-backed — the arena zeroes returned backing) plus the
+// (never arena-backed — the arena reuses returned backing) plus the
 // subtree's current preorder ids. Called from computeNode after the list
 // is final (pruned and wire-charged), so serial, parallel, and subset
 // walks all store through the same line.
@@ -178,11 +189,11 @@ func (m *memoRun) store(t *rctree.Tree, v rctree.NodeID, list []vgCand) {
 
 // load returns an arena-backed copy of node v's memoized list, if the
 // table holds a current entry. When the tree was renumbered since the
-// entry was stored (prune compaction), the stored solution DAG is
+// entry was stored (prune compaction), the stored solution lists are
 // relocated through the positional old→new id map — hash equality
 // guarantees the two preorders align node for node — and the relocated
-// entry replaces the stale one.
-func (m *memoRun) load(t *rctree.Tree, v rctree.NodeID, ar *candArena) ([]vgCand, bool) {
+// entry, its links written by w, replaces the stale one.
+func (m *memoRun) load(t *rctree.Tree, v rctree.NodeID, ar *candArena, w *slabWriter) ([]vgCand, bool) {
 	key := m.key(v)
 	e, ok := m.table.Get(key)
 	if !ok {
@@ -190,7 +201,7 @@ func (m *memoRun) load(t *rctree.Tree, v rctree.NodeID, ar *candArena) ([]vgCand
 	}
 	ids := t.Subtree(v)
 	if !equalIDs(e.ids, ids) {
-		e = remapMemo(e, ids)
+		e = remapMemo(e, ids, m.slab, w)
 		m.table.Put(key, e)
 	}
 	m.reused.Add(1)
@@ -209,38 +220,39 @@ func equalIDs(a, b []rctree.NodeID) bool {
 	return true
 }
 
-// remapMemo rebuilds an entry under a new node numbering. solLinks are
-// immutable, so relocation builds fresh links, memoized per old link to
-// preserve the DAG's sharing (and its size).
-func remapMemo(e *subtreeMemo, ids []rctree.NodeID) *subtreeMemo {
+// remapMemo rebuilds an entry under a new node numbering. Links are
+// never rewritten, so relocation appends renumbered copies of the
+// entry's links to the slab through w, one per old link (a map keeps the
+// lists' shared tails shared, and the copy the same size).
+func remapMemo(e *subtreeMemo, ids []rctree.NodeID, slab *solSlab, w *slabWriter) *subtreeMemo {
 	idMap := make(map[rctree.NodeID]rctree.NodeID, len(e.ids))
 	for i, old := range e.ids {
 		idMap[old] = ids[i]
 	}
-	seen := make(map[*solLink]*solLink)
+	seen := make(map[solRef]solRef)
+	var remap func(r solRef) solRef
+	remap = func(r solRef) solRef {
+		if r == 0 {
+			return 0
+		}
+		if nr, ok := seen[r]; ok {
+			return nr
+		}
+		nl := *slab.link(r)
+		if nn, ok := idMap[nl.node]; ok {
+			nl.node = nn
+		}
+		nl.prev = [2]solRef{remap(nl.prev[0]), remap(nl.prev[1])}
+		nr := w.add(nl)
+		seen[r] = nr
+		return nr
+	}
 	cands := make([]vgCand, len(e.cands))
 	for i, c := range e.cands {
-		c.sol = remapSol(c.sol, idMap, seen)
+		c.sol = remap(c.sol)
 		cands[i] = c
 	}
 	return &subtreeMemo{ids: ids, cands: cands}
-}
-
-func remapSol(l *solLink, idMap map[rctree.NodeID]rctree.NodeID, seen map[*solLink]*solLink) *solLink {
-	if l == nil {
-		return nil
-	}
-	if r, ok := seen[l]; ok {
-		return r
-	}
-	nl := *l
-	if nn, ok := idMap[l.node]; ok {
-		nl.node = nn
-	}
-	nl.prev[0] = remapSol(l.prev[0], idMap, seen)
-	nl.prev[1] = remapSol(l.prev[1], idMap, seen)
-	seen[l] = &nl
-	return &nl
 }
 
 // memoGate is the top-down phase of a memoized run: starting at the root,
@@ -267,7 +279,7 @@ func memoGate(t *rctree.Tree, opts vgOptions, lists [][]vgCand) ([]rctree.NodeID
 				return order, err
 			}
 			m.lookups.Add(1)
-			if list, ok := m.load(t, f.id, opts.arena); ok {
+			if list, ok := m.load(t, f.id, opts.arena, opts.sol); ok {
 				lists[f.id] = list
 				stack = stack[:len(stack)-1]
 				continue

@@ -29,9 +29,9 @@ var witnessLib = &buffers.Library{Buffers: []buffers.Buffer{{Name: "c"}, {Name: 
 
 // randCandList builds a raw candidate list as a subtree might hand it to
 // a parent: random values on a coarse grid (ties likely), each with a
-// distinct solution link — its own node, and the tag's witnessLib
-// buffer — so witness mix-ups are visible.
-func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
+// distinct solution link written by w — its own node, and the tag's
+// witnessLib buffer — so witness mix-ups are visible.
+func randCandList(rng *rand.Rand, n int, tag string, w *slabWriter) []vgCand {
 	list := make([]vgCand, n)
 	for i := range list {
 		list[i] = vgCand{
@@ -42,10 +42,10 @@ func randCandList(rng *rand.Rand, n int, tag string) []vgCand {
 			nbuf: rng.Intn(6),
 			cost: rng.Intn(6),
 			pol:  uint8(rng.Intn(2)),
-			sol: &solLink{
+			sol: w.add(solLink{
 				node: rctree.NodeID(i),
 				buf:  int32(slices.IndexFunc(witnessLib.Buffers, func(b buffers.Buffer) bool { return b.Name == tag })),
-			},
+			}),
 		}
 	}
 	return list
@@ -132,7 +132,8 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 			for trial := 0; trial < trials; trial++ {
 				opts := prof.opts
 				opts.arena = &candArena{}
-				raw := randCandList(rng, 1+rng.Intn(120), "c")
+				slab, w := testWriter()
+				raw := randCandList(rng, 1+rng.Intn(120), "c", w)
 				pruned, err := pruneVG(raw, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -142,7 +143,7 @@ func TestPrunedListsAreStrictFrontiers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(witnessLib, pruned, again); err != nil {
+				if err := candsEqual(witnessLib, slab, pruned, slab, again); err != nil {
 					t.Fatalf("trial %d: pruning not idempotent: %v", trial, err)
 				}
 				if !opts.safePruning {
@@ -194,8 +195,10 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				opts := prof.opts
 				opts.arena = &candArena{}
 				opts.ins = &insertTable{}
+				var slab *solSlab
+				slab, opts.sol = testWriter()
 				mk := func(tag string) []vgCand {
-					l, err := pruneVG(randCandList(rng, 1+rng.Intn(80), tag), opts)
+					l, err := pruneVG(randCandList(rng, 1+rng.Intn(80), tag, opts.sol), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,7 +235,7 @@ func TestMergeDifferentialProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := candsEqual(witnessLib, pc, pw); err != nil {
+				if err := candsEqual(witnessLib, slab, pc, slab, pw); err != nil {
 					t.Fatalf("trial %d: merge paths disagree after pruning: %v", trial, err)
 				}
 			}
@@ -311,9 +314,10 @@ func sameElements(got, want []vgCand) error {
 // prune order) that is sometimes wire-charged — which can round two
 // loads together — and sometimes carries duplicates, either the same
 // candidate repeated, or an equal value under a fresh link — equal
-// neighbours either way, which pruneVG must leave to the sort.
+// neighbours either way, which pruneVG must leave to the sort. Links are
+// written by opts.sol.
 func orderedList(rng *rand.Rand, opts vgOptions) []vgCand {
-	l, _ := pruneVG(randCandList(rng, 1+rng.Intn(80), "c"), opts)
+	l, _ := pruneVG(randCandList(rng, 1+rng.Intn(80), "c", opts.sol), opts)
 	if rng.Intn(2) == 0 {
 		c := float64(rng.Intn(4)) * 0.25
 		for i := range l {
@@ -324,7 +328,7 @@ func orderedList(rng *rand.Rand, opts vgOptions) []vgCand {
 		i := rng.Intn(len(l))
 		dup := l[i]
 		if rng.Intn(2) == 0 {
-			dup.sol = &solLink{node: rctree.NodeID(1000 + d)}
+			dup.sol = opts.sol.add(solLink{node: rctree.NodeID(1000 + d)})
 		}
 		l = slices.Insert(l, i+1, dup)
 	}
@@ -348,9 +352,10 @@ func TestSortElisionProperty(t *testing.T) {
 			elided := 0
 			for trial := 0; trial < trials; trial++ {
 				opts := prof.opts
+				_, opts.sol = testWriter()
 				list := orderedList(rng, opts)
 				if rng.Intn(3) == 0 {
-					list = append(list, randCandList(rng, 1+rng.Intn(10), "l")...)
+					list = append(list, randCandList(rng, 1+rng.Intn(10), "l", opts.sol)...)
 				}
 				if certainOrder(list, opts.countIndexed) {
 					elided++
@@ -373,15 +378,15 @@ func TestSortElisionProperty(t *testing.T) {
 
 // sameLinked is sameElements' comparison for lists whose winners were
 // built twice: values bit for bit, and the solution link either the same
-// pointer or a fresh link with the same fields — node, buffer, and the
-// same predecessor pointers.
-func sameLinked(got, want []vgCand) error {
+// ref or a fresh link in slab with the same fields — node, buffer, and
+// the same predecessor refs.
+func sameLinked(slab *solSlab, got, want []vgCand) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d candidates, want %d", len(got), len(want))
 	}
 	for i := range got {
 		a, b := got[i], want[i]
-		if a.sol != b.sol && a.sol != nil && b.sol != nil && *a.sol == *b.sol {
+		if a.sol != b.sol && a.sol != 0 && b.sol != 0 && *slab.link(a.sol) == *slab.link(b.sol) {
 			a.sol = b.sol
 		}
 		if !sameCand(&a, &b) {
@@ -432,6 +437,8 @@ func TestRunMergeProperty(t *testing.T) {
 				opts := prof.opts
 				opts.arena = &candArena{}
 				opts.ins = &insertTable{}
+				var slab *solSlab
+				slab, opts.sol = testWriter()
 				opts.noise = rng.Intn(2) == 0
 				lib := libs[trial%len(libs)]
 				run := orderedList(rng, opts)
@@ -451,7 +458,7 @@ func TestRunMergeProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := sameLinked(got, want); err != nil {
+				if err := sameLinked(slab, got, want); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}
@@ -480,22 +487,23 @@ func TestWalkPreconditionRounding(t *testing.T) {
 	}}
 	// left holds the rounded pair, now equal loads; the slacks make the
 	// second one the better pair partner, which the walk would skip.
+	slab, w := testWriter()
 	left := []vgCand{
-		{load: a + c, q: 3, down: 0.5, ns: 4, sol: &solLink{node: 1}},
-		{load: b + c, q: 3, down: 0.1, ns: 4, sol: &solLink{node: 2}},
+		{load: a + c, q: 3, down: 0.5, ns: 4, sol: w.add(solLink{node: 1})},
+		{load: b + c, q: 3, down: 0.1, ns: 4, sol: w.add(solLink{node: 2})},
 	}
 	right := []vgCand{
-		{load: 0.5, q: 2, down: 0.2, ns: 5, sol: &solLink{node: 3}},
-		{load: 0.7, q: 5, down: 0.3, ns: 6, sol: &solLink{node: 4}},
+		{load: 0.5, q: 2, down: 0.2, ns: 5, sol: w.add(solLink{node: 3})},
+		{load: 0.7, q: 5, down: 0.3, ns: 6, sol: w.add(solLink{node: 4})},
 	}
-	opts := vgOptions{noise: true, arena: &candArena{}, ins: &insertTable{}}
+	opts := vgOptions{noise: true, arena: &candArena{}, ins: &insertTable{}, sol: w}
 	if _, _, ok := lishiGroups(left, opts, nil, nil); ok {
 		t.Fatal("lishiGroups accepted a group whose loads do not strictly ascend")
 	}
 
 	var st vgStats
 	opts.stats = &st
-	want, err := mergeVG(left, right, vgOptions{arena: opts.arena})
+	want, err := mergeVG(left, right, vgOptions{arena: opts.arena, sol: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,14 +511,14 @@ func TestWalkPreconditionRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := candsEqual(witnessLib, got, want); err != nil {
+	if err := candsEqual(witnessLib, slab, got, slab, want); err != nil {
 		t.Fatalf("lishiMerge: %v", err)
 	}
 	if st.fallbacks != 1 {
 		t.Fatalf("lishiMerge counted %d fallbacks, want 1", st.fallbacks)
 	}
 
-	want = insertBuffers(7, want, lib, vgOptions{noise: true, ins: &insertTable{}})
+	want = insertBuffers(7, want, lib, vgOptions{noise: true, ins: &insertTable{}, sol: w})
 	got, _, err = lishiNoiseMerge(7, left, right, lib, opts, true)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +529,7 @@ func TestWalkPreconditionRounding(t *testing.T) {
 	if want, err = pruneVG(want, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := candsEqual(lib, got, want); err != nil {
+	if err := candsEqual(lib, slab, got, slab, want); err != nil {
 		t.Fatalf("lishiNoiseMerge: %v", err)
 	}
 	if st.fallbacks != 2 {
@@ -532,7 +540,8 @@ func TestWalkPreconditionRounding(t *testing.T) {
 // frontierList builds an n-candidate list that pruning keeps whole:
 // loads and slacks rise together, parity and cost are random, so every
 // (parity[, cost]) group is its own strict frontier and the branch merge
-// meets long groups and incompatible pairs.
+// meets long groups and incompatible pairs. Links are written by
+// opts.sol.
 func frontierList(rng *rand.Rand, n int, opts vgOptions, tag int32) []vgCand {
 	list := make([]vgCand, n)
 	for i := range list {
@@ -544,7 +553,7 @@ func frontierList(rng *rand.Rand, n int, opts vgOptions, tag int32) []vgCand {
 			nbuf: rng.Intn(3),
 			cost: rng.Intn(3),
 			pol:  uint8(rng.Intn(2)),
-			sol:  &solLink{node: rctree.NodeID(i), buf: tag},
+			sol:  opts.sol.add(solLink{node: rctree.NodeID(i), buf: tag}),
 		}
 	}
 	list, _ = pruneVG(list, opts)
@@ -569,7 +578,8 @@ func TestStreamedBudgetLedger(t *testing.T) {
 	rng := rand.New(rand.NewSource(7890))
 	sizes := []int{1, 63, 64, 65, 128, 150}
 	for trial := 0; trial < 60; trial++ {
-		opts := vgOptions{noise: true, arena: &candArena{}, ins: &insertTable{}}
+		_, w := testWriter()
+		opts := vgOptions{noise: true, arena: &candArena{}, ins: &insertTable{}, sol: w}
 		if trial%2 == 1 {
 			opts.countIndexed, opts.maxBuffers = true, 4
 		}

@@ -10,6 +10,7 @@ import (
 	"buffopt/internal/obs"
 	"buffopt/internal/rctree"
 	"sync"
+	"sync/atomic"
 )
 
 // Session is one incremental-optimization conversation: a Problem whose
@@ -30,6 +31,20 @@ type Session struct {
 	memo   *memoTable
 	hashes []rctree.SubtreeHash
 	stats  SessionStats
+
+	// slab holds the solution links of the memo's entries (and the dead
+	// links of evicted entries and failed runs, until compaction).
+	slab *solSlab
+	// live is the link count the last compaction kept.
+	live int64
+	// purged asks the next settleSlab to compact: a Purge found the
+	// session busy.
+	purged atomic.Bool
+	// ns is the obs namespace; slabTotal is the namespace's summed slab
+	// bytes, of which published is this session's share.
+	ns        string
+	slabTotal *atomic.Int64
+	published int64
 }
 
 // SessionConfig bounds one session's memo table.
@@ -75,8 +90,12 @@ func NewSession(p Problem, cfg SessionConfig) (*Session, error) {
 		ns = "eco"
 	}
 	p.Tree = p.Tree.Clone()
+	total, _ := slabTotals.LoadOrStore(ns, new(atomic.Int64))
 	return &Session{
-		p: p,
+		p:         p,
+		slab:      &solSlab{},
+		ns:        ns,
+		slabTotal: total.(*atomic.Int64),
 		memo: cache.New(cache.Config[*subtreeMemo]{
 			MaxEntries: cfg.MemoEntries,
 			MaxBytes:   cfg.MemoBytes,
@@ -125,9 +144,68 @@ func (s *Session) MemoStats() cache.Stats { return s.memo.Stats() }
 func (s *Session) MemoBytes() int64 { return s.memo.Bytes() }
 
 // Purge drops every memo entry (counted as evictions, so the cache books
-// stay exact) and returns how many were dropped. The session remains
-// usable; the next Delta recomputes from scratch.
-func (s *Session) Purge() int { return s.memo.Purge() }
+// stay exact) and their solution links, and returns how many entries
+// were dropped. The session remains usable; the next Delta recomputes
+// from scratch. Purge does not wait for a call in flight: if one holds
+// the session, the Delta in flight or the next one compacts the slab
+// when it finishes.
+func (s *Session) Purge() int {
+	n := s.memo.Purge()
+	if s.mu.TryLock() {
+		s.compactSlab()
+		s.publishSlab()
+		s.mu.Unlock()
+	} else {
+		s.purged.Store(true)
+	}
+	return n
+}
+
+// slabTotals sums the session slabs' bytes per obs namespace, published
+// as the "<ns>.slab.bytes" gauge.
+var slabTotals sync.Map // string → *atomic.Int64
+
+// slabSlack is how many links a session slab may hold beyond twice the
+// live count of its last compaction before it is compacted again: a few
+// chunks, so small memos are not compacted after every Delta.
+const slabSlack = 4 * slabChunkLen
+
+// settleSlab runs at the end of every Delta, successful or not, under the
+// session lock. Once the slab holds more than twice the links the last
+// compaction kept (plus slabSlack), or a Purge asked for it, it
+// compacts. Each compaction copies at most what was written since the
+// last one, so its cost is amortized over those writes.
+func (s *Session) settleSlab() {
+	if s.purged.Swap(false) || int64(s.slab.capacity()) > 2*s.live+slabSlack {
+		s.compactSlab()
+	}
+	s.publishSlab()
+}
+
+// compactSlab keeps only the links the resident memo entries reach,
+// rewriting the entries' refs; everything else — the lists of evicted
+// and relocated entries, the links of candidates that were pruned, a
+// failed run's leftovers — is recycled. Called with the session lock
+// held, so no run is reading or writing the slab.
+func (s *Session) compactSlab() {
+	entries := s.memo.Entries()
+	s.live = s.slab.compact(func(yield func(*solRef)) {
+		for _, e := range entries {
+			for i := range e.Val.cands {
+				yield(&e.Val.cands[i].sol)
+			}
+		}
+	})
+	obs.Inc(s.ns + ".slab.compactions")
+}
+
+// publishSlab updates the namespace's slab-bytes gauge with this
+// session's current slab size.
+func (s *Session) publishSlab() {
+	b := s.slab.bytes()
+	obs.Set(s.ns+".slab.bytes", s.slabTotal.Add(b-s.published))
+	s.published = b
+}
 
 // EditOp enumerates the session edit operations.
 type EditOp uint8
@@ -296,6 +374,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.settleSlab()
 
 	if len(edits) > 0 {
 		// Copy-on-edit keeps the batch atomic: all edits land or none do.
@@ -313,7 +392,7 @@ func Delta(ctx context.Context, s *Session, edits []Edit, opts Options) (*DeltaR
 		s.stats.Edits += int64(len(edits))
 	}
 
-	run := &memoRun{table: s.memo, hashes: s.hashes}
+	run := &memoRun{table: s.memo, hashes: s.hashes, slab: s.slab}
 	opts.memo = run
 	opts.Budget = budgetFor(ctx, opts.Budget)
 	_, sp := obs.Span(ctx, "delta")

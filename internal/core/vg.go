@@ -25,6 +25,7 @@ import (
 // schedule-independent.
 type vgStats struct {
 	generated int64 // candidates created (sinks, merges, buffer insertions, width variants)
+	links     int64 // solution links written to the slab
 	pruned    int64 // candidates discarded by dominance pruning
 	merged    int64 // candidates emitted by branch merges
 	nodes     int64 // tree nodes visited
@@ -51,6 +52,7 @@ func (s *vgStats) absorb(o *vgStats) {
 	s.pruned += o.pruned
 	s.merged += o.merged
 	s.nodes += o.nodes
+	s.links += o.links
 	s.fallbacks += o.fallbacks
 	if o.highwater > s.highwater {
 		s.highwater = o.highwater
@@ -62,6 +64,7 @@ func (s *vgStats) flush() {
 	obs.Add("vg.candidates.pruned", s.pruned)
 	obs.Add("vg.candidates.merged", s.merged)
 	obs.Add("vg.nodes.visited", s.nodes)
+	obs.Add("vg.slab.links", s.links)
 	if s.fallbacks > 0 {
 		obs.Add("vg.lishi.fallbacks", s.fallbacks)
 	}
@@ -70,7 +73,9 @@ func (s *vgStats) flush() {
 
 // vgCand is an Algorithm 3 candidate: the five-tuple (C, q, I, NS, M) of
 // Section IV-A, plus the buffer count for the Lillis extension and the
-// inversion parity for libraries containing inverters.
+// inversion parity for libraries containing inverters. sol heads the
+// candidate's solution list in the run's slab (see slab.go); the struct
+// holds no pointer, so candidate lists are memory the GC never scans.
 type vgCand struct {
 	load float64 // C: downstream capacitance seen at the node
 	q    float64 // slack at the node
@@ -79,47 +84,7 @@ type vgCand struct {
 	nbuf int     // buffers used in the subtree solution
 	cost int     // Problem 3 weight of those buffers (Lillis power function)
 	pol  uint8   // parity of inverting stages to every sink (0 = in phase)
-	sol  *solLink
-}
-
-// solLink is one decision in a persistent solution list shared between
-// candidates: either a buffer assignment at a node (buf indexes the run's
-// library), or (isWidth) a width multiplier chosen for the node's parent
-// wire. Links carry the library index rather than the Buffer itself: the
-// index is stable for every list a run or a session memo can combine,
-// because memo entries are keyed by the library's content
-// (memoKeySuffix).
-type solLink struct {
-	node    rctree.NodeID
-	buf     int32
-	width   float64
-	isWidth bool
-	prev    [2]*solLink
-}
-
-// collectSol flattens a solution DAG into a buffer assignment and a wire
-// width map, resolving buffer indexes against lib, the library the DAG
-// was built with.
-func collectSol(s *solLink, lib *buffers.Library) (map[rctree.NodeID]buffers.Buffer, map[rctree.NodeID]float64) {
-	assign := make(map[rctree.NodeID]buffers.Buffer)
-	widths := make(map[rctree.NodeID]float64)
-	seen := map[*solLink]bool{}
-	stack := []*solLink{s}
-	for len(stack) > 0 {
-		l := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if l == nil || seen[l] {
-			continue
-		}
-		seen[l] = true
-		if l.isWidth {
-			widths[l.node] = l.width
-		} else {
-			assign[l.node] = lib.Buffers[l.buf]
-		}
-		stack = append(stack, l.prev[0], l.prev[1])
-	}
-	return assign, widths
+	sol  solRef
 }
 
 // vgOptions configures one run of the dynamic program.
@@ -154,6 +119,14 @@ type vgOptions struct {
 	// ins is insertBuffers' scratch table, one per goroutine of the walk
 	// (runVG installs it, runVGParallel gives each worker its own).
 	ins *insertTable
+	// slab stores the run's solution links; the caller owns it and keeps
+	// it until the returned candidates' lists have been read (optimize
+	// takes one per solve, a session passes its memo's). Required.
+	slab *solSlab
+	// sol is the slab writer of the goroutine running the node step:
+	// runVG installs one for the gate and the serial walk, runVGParallel
+	// one per worker.
+	sol *slabWriter
 	// engine selects the candidate-list organization; runVG resolves the
 	// public name ("auto" included) to EngineVG or EngineLiShi before the
 	// walk starts, so computeNode only ever sees the two concrete names.
@@ -276,6 +249,9 @@ func runVG(t *rctree.Tree, lib *buffers.Library, opts vgOptions) ([]vgCand, erro
 	opts.arena = ar
 	defer ar.flush()
 	opts.ins = getInsertTable()
+	w := opts.slab.writer()
+	opts.sol = &w
+	defer func() { st.links += w.close() }()
 
 	lists := make([][]vgCand, t.Len())
 	var err error
@@ -510,7 +486,7 @@ func computeNode(t *rctree.Tree, lib *buffers.Library, opts vgOptions, v rctree.
 					nc.ns -= r * (c.down + iw/2)
 					nc.down += iw
 					if wd != 1 {
-						nc.sol = &solLink{node: v, width: wd, isWidth: true, prev: [2]*solLink{c.sol, nil}}
+						nc.sol = opts.sol.add(solLink{node: v, buf: widthLink, width: wd, prev: [2]solRef{c.sol}})
 					}
 					sized = append(sized, nc)
 				}
@@ -566,7 +542,7 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 			if opts.countIndexed && a.cost+b.cost > opts.maxBuffers {
 				continue
 			}
-			out = append(out, mergedCand(a, b))
+			out = append(out, mergedCand(a, b, opts.sol))
 		}
 	}
 	if err := opts.budget.CheckCandidates(len(out)); err != nil {
@@ -584,25 +560,18 @@ func mergeVG(left, right []vgCand, opts vgOptions) ([]vgCand, error) {
 // the minimum (Steps 3–4 of Fig. 11). The single shared construction for
 // every merge implementation (classic cross product and the Li–Shi
 // frontier walk), so engines cannot drift in arithmetic or in solution
-// linking.
-func mergedCand(a, b vgCand) vgCand {
+// linking. When both sides carry decisions, the pair's list is a
+// junction link joining the two; it records nothing itself, so building
+// it never reads a link.
+func mergedCand(a, b vgCand, w *slabWriter) vgCand {
 	c := pairValues(&a, &b)
 	switch {
-	case a.sol == nil:
+	case a.sol == 0:
 		c.sol = b.sol
-	case b.sol == nil:
+	case b.sol == 0:
 		c.sol = a.sol
 	default:
-		// Junction link: reuse a's head with both prevs via a
-		// synthetic link carrying a's head assignment would double
-		// count; instead create a link that repeats a's head
-		// assignment — maps deduplicate identical (node, buf)
-		// pairs, so repeating is safe and keeps links binary.
-		c.sol = &solLink{
-			node: a.sol.node, buf: a.sol.buf,
-			width: a.sol.width, isWidth: a.sol.isWidth,
-			prev: [2]*solLink{a.sol, b.sol},
-		}
+		c.sol = w.add(solLink{buf: junctionLink, prev: [2]solRef{a.sol, b.sol}})
 	}
 	return c
 }

@@ -339,12 +339,12 @@ func TestBuffOptKRespectsBound(t *testing.T) {
 func TestZeroCapAdmitsNoBuffer(t *testing.T) {
 	nets, lib, _ := diffCorpus(t, 8)
 	for i, tr := range nets {
-		cands, err := runVG(tr, lib, vgOptions{countIndexed: true, maxBuffers: 0})
+		cands, err := runVG(tr, lib, vgOptions{countIndexed: true, maxBuffers: 0, slab: &solSlab{}})
 		if err != nil {
 			t.Fatalf("net %d: %v", i, err)
 		}
 		for _, c := range cands {
-			if c.cost != 0 || c.nbuf != 0 || c.sol != nil {
+			if c.cost != 0 || c.nbuf != 0 || c.sol != 0 {
 				t.Fatalf("net %d: cap 0 kept a buffered candidate (cost %d, nbuf %d)", i, c.cost, c.nbuf)
 			}
 		}

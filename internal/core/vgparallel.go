@@ -115,15 +115,18 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 
 	// Per-worker stats keep the hot loops free of atomics; folded into the
 	// run's totals after Wait, when no worker touches them anymore. Each
-	// worker also owns its insertion table.
+	// worker also owns its insertion table and its slab writer.
 	workerStats := make([]vgStats, workers)
 	tables := make([]*insertTable, workers)
+	writers := make([]slabWriter, workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		wopts := opts
 		wopts.stats = &workerStats[w]
 		tables[w] = getInsertTable()
 		wopts.ins = tables[w]
+		writers[w] = opts.slab.writer()
+		wopts.sol = &writers[w]
 		go func() {
 			defer wg.Done()
 			// Panic isolation: a crash on a pool goroutine would kill the
@@ -137,6 +140,7 @@ func runVGParallel(t *rctree.Tree, lib *buffers.Library, opts vgOptions, lists [
 	wg.Wait()
 
 	for w := range workerStats {
+		workerStats[w].links += writers[w].close()
 		opts.stats.absorb(&workerStats[w])
 		if runErr == nil {
 			tables[w].release()
